@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import ensembles, fourier, gvdistance, linalg, rowdist
-from .errors import NumericError, PreconditionError, ResourceGuardError
+from .errors import MalformedInput, NumericError, PreconditionError, ResourceGuardError
 from .gf import Field, field_new
 
 
@@ -31,14 +30,6 @@ def _parse_rate(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _worker_cap() -> int:
-    """LDPCLAB_THREADS caps worker count; trial loops currently run one."""
-    try:
-        return max(1, int(os.environ.get("LDPCLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
@@ -47,20 +38,33 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as e:
+        raise MalformedInput(f"cannot read {path}: {e.strerror}") from None
+
+
 def load_matrix(path: str) -> tuple[Field, np.ndarray]:
     """Matrix input file: {"field": {"p", "h"}, "rows": [[...], ...]}."""
-    with open(path) as f:
-        doc = json.load(f)
-    fld = field_new(doc["field"]["p"], doc["field"].get("h", 1))
-    return fld, np.array(doc["rows"], dtype=np.int64)
+    text = _read(path)
+    try:
+        doc = json.loads(text)
+        p, h, rows = doc["field"]["p"], doc["field"].get("h", 1), doc["rows"]
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise MalformedInput(f"malformed matrix file {path}: {e!r}") from None
+    fld = field_new(p, h)
+    return fld, linalg.as_matrix(rows, fld)
 
 
-def _feasible_rates(n: int, s: int, points: int) -> list[Fraction]:
-    """Evenly spread rates R = k/n with (1-R)s integral when s > 0."""
+def _feasible_rates(n: int, s: int, q: int, points: int) -> list[Fraction]:
+    """Evenly spread rates R = k/n with (1-R)s integral when s > 0 and
+    q^k within the codeword enumeration guard."""
     rates = []
     for k in range(1, n):
         r = Fraction(k, n)
-        if s and ((1 - r) * s).denominator != 1:
+        if (s and ((1 - r) * s).denominator != 1) or q ** k > ensembles.ENUM_GUARD:
             continue
         rates.append(r)
     if len(rates) <= points:
@@ -126,13 +130,12 @@ def _containment_frequency(
 
 
 def cmd_threshold(args) -> None:
-    with open(args.tau) as f:
-        tau = rowdist.RowDistribution.from_json(f.read())
+    tau = rowdist.RowDistribution.from_json(_read(args.tau))
     report = rowdist.rstar(tau)
     doc = json.loads(report.to_json())
     if args.empirical:
         sweep = []
-        for rate in _feasible_rates(args.n, 0, 12):
+        for rate in _feasible_rates(args.n, 0, tau.field.q, 12):
             freq = _containment_frequency(tau, args.n, rate, args.trials, args.seed)
             sweep.append({"rate": [rate.numerator, rate.denominator], "frequency": freq})
         doc["empirical_sweep"] = sweep
@@ -164,7 +167,7 @@ def cmd_ldpc_contain(args) -> None:
 def cmd_listdecode(args) -> None:
     fld = _parse_field(args.field)
     rows = []
-    for rate in _feasible_rates(args.n, args.s, 8):
+    for rate in _feasible_rates(args.n, args.s, fld.q, 8):
         sizes = []
         for i in range(args.trials):
             params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, rate)
@@ -198,11 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ldpclab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=True):
+    def common(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        if seed:
-            p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("sample", help="sample a code and write its JSON form")
     p.add_argument("--field", required=True)
@@ -221,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
     p.set_defaults(func=cmd_distance_profile)
 
@@ -256,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _worker_cap()
     try:
         args.func(args)
     except PreconditionError as e:

@@ -1,11 +1,13 @@
 """Random linear and random s-LDPC code samplers with brute-force analytics.
 
 The LDPC ensemble stacks t = (1-R)*s independent layers; each layer
-partitions the n coordinates into n/s parity checks via a Fisher-Yates
-permutation and scales every coordinate by a uniform nonzero element.
-Sampling is driven by a counter-based PRNG (numpy Philox keyed on the
-64-bit seed), so a (params, seed) pair reproduces a code bit-for-bit and
-Monte Carlo workers can partition seed space deterministically.
+partitions the n coordinates into n/s parity checks via a uniform
+permutation and scales every coordinate by a uniform nonzero element.  One
+batched layer sampler serves both `sample_ldpc` (one trial) and the Monte
+Carlo estimator (many).  Sampling is driven by a counter-based PRNG (numpy
+Philox keyed on the 64-bit seed), so a (params, seed) pair reproduces a code
+bit-for-bit and Monte Carlo workers can partition seed space
+deterministically.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     CodeTooLarge,
     DivisibilityViolation,
     LengthMismatch,
+    MalformedInput,
 )
 from .gf import Field, field_new
 
@@ -31,15 +34,6 @@ ENUM_GUARD = 1 << 24
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Explicit Fisher-Yates shuffle of [0, n), consuming one draw per step."""
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
 
 
 @dataclass(frozen=True)
@@ -122,19 +116,20 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, text: str) -> "LinearCode":
-        doc = json.loads(text)
-        fld = field_new(doc["field"]["p"], doc["field"]["h"])
-        if list(fld.modulus) != doc["field"]["modulus"]:
-            raise ValueError("field modulus mismatch in serialized code")
-        q = fld.q
-        rows = []
-        for row in doc["h_rows"]:
-            if q <= 10:
-                rows.append([int(c) for c in row])
-            else:
-                rows.append([int(c) for c in row.split(",")] if row else [])
-        h = np.array(rows, dtype=np.int64).reshape(len(rows), doc["n"])
-        return cls(fld, h, doc["s"], Fraction(*doc["rate"]), doc["seed"])
+        try:
+            doc = json.loads(text)
+            p, h, modulus = (doc["field"][key] for key in ("p", "h", "modulus"))
+            comma = p ** h > 10
+            rows = [[int(c) for c in (row.split(",") if comma else row)]
+                    for row in doc["h_rows"]]
+            hmat = np.array(rows, dtype=np.int64).reshape(len(rows), doc["n"])
+            rest = (doc["s"], Fraction(*doc["rate"]), doc["seed"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise MalformedInput(f"malformed code JSON: {e!r}") from None
+        fld = field_new(p, h)
+        if list(fld.modulus) != modulus:
+            raise MalformedInput("field modulus mismatch in serialized code")
+        return cls(fld, linalg.as_matrix(hmat, fld), *rest)
 
 
 def sample_rlc(n: int, rate: Fraction, fld: Field, seed: int) -> LinearCode:
@@ -150,26 +145,27 @@ def sample_rlc(n: int, rate: Fraction, fld: Field, seed: int) -> LinearCode:
     return LinearCode(fld, h, 0, rate, seed)
 
 
-def _sample_layer(params: LdpcEnsembleParams, rng: np.random.Generator) -> np.ndarray:
-    n, s, q = params.n, params.s, params.field.q
-    perm = fisher_yates(rng, n)
-    scalars = (
-        np.ones(n, dtype=np.int64)
-        if q == 2
-        else rng.integers(1, q, size=n).astype(np.int64)
-    )
-    layer = np.zeros((n // s, n), dtype=np.int64)
-    for i in range(n // s):
-        cols = perm[i * s:(i + 1) * s]
-        layer[i, cols] = scalars[cols]
-    return layer
+def _layer_draws(params: LdpcEnsembleParams, rng: np.random.Generator, trials: int):
+    """Yield the t layers of `trials` independent codes as (perms, scalars).
+
+    Both arrays are (trials, n): a uniform permutation of [0, n) per trial,
+    and a uniform unit per permuted position (for q = 2 the only unit is 1,
+    and `integers(1, 2)` consumes no random bits).  Check i of a layer
+    holds the positions perms[i*s:(i+1)*s], scaled by the matching scalars.
+    """
+    n, q = params.n, params.field.q
+    for _ in range(params.t):
+        perms = np.argsort(rng.random(size=(trials, n)), axis=1)
+        yield perms, rng.integers(1, q, size=(trials, n))
 
 
 def sample_ldpc(params: LdpcEnsembleParams, seed: int) -> LinearCode:
-    """Stack t independent layers, each a filtered random permutation."""
-    rng = make_rng(seed)
-    layers = [_sample_layer(params, rng) for _ in range(params.t)]
-    h = np.vstack(layers)
+    """Stack t independent layers, each a scaled random partition into checks."""
+    n, blocks = params.n, params.checks_per_layer
+    h = np.zeros((params.t * blocks, n), dtype=np.int64)
+    check = np.arange(n) // params.s  # check of each permuted position
+    for j, (perms, scalars) in enumerate(_layer_draws(params, make_rng(seed), 1)):
+        h[j * blocks + check, perms[0]] = scalars[0]
     return LinearCode(params.field, h, params.s, params.rate, seed)
 
 
@@ -204,55 +200,32 @@ def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
     return cws
 
 
-def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield all q^k codewords as message-space enumeration times the basis."""
+def _codeword_chunks(code: LinearCode, chunk: int = 1 << 16):
+    """Yield (message indices, codewords as rows) over all q^k messages."""
     k = _check_enum_guard(code)
     q = code.field.q
     total = q ** k
-    gen = code.generator
+    gen_t = code.generator.T
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        msgs = np.zeros((k, idx.size), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(k):
-            msgs[i] = rem % q
-            rem //= q
-        cws = linalg.matmul(code.field, gen, msgs) if k else np.zeros((code.n, idx.size), dtype=np.int64)
-        for j in range(idx.size):
-            yield cws[:, j]
+        yield idx, linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
+
+
+def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
+    """Yield all q^k codewords in message order."""
+    for _, cws in _codeword_chunks(code, chunk):
+        yield from cws
 
 
 def _codeword_weights(code: LinearCode, chunk: int = 1 << 16):
     """Yield (message index array, weight array) over all codewords."""
-    k = _check_enum_guard(code)
-    q = code.field.q
-    if q == 2 and code.n <= 64:
+    if code.field.q == 2 and code.n <= 64:
+        _check_enum_guard(code)
         cws = _codeword_bitmasks(code)
-        w = np.bitwise_count(cws).astype(np.int64)
-        yield np.arange(cws.size), w
+        yield np.arange(cws.size), np.bitwise_count(cws)
         return
-    total = q ** k
-    gen = code.generator
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        msgs = np.zeros((k, idx.size), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(k):
-            msgs[i] = rem % q
-            rem //= q
-        cws = linalg.matmul(code.field, gen, msgs)
-        yield idx, np.count_nonzero(cws, axis=0)
-
-
-def _message_to_codeword(code: LinearCode, m_idx: int) -> np.ndarray:
-    k = code.dimension
-    q = code.field.q
-    msg = np.zeros(k, dtype=np.int64)
-    rem = m_idx
-    for i in range(k):
-        msg[i] = rem % q
-        rem //= q
-    return linalg.matmul(code.field, code.generator, msg)
+    for idx, cws in _codeword_chunks(code, chunk):
+        yield idx, np.count_nonzero(cws, axis=1)
 
 
 def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
@@ -266,8 +239,8 @@ def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
             j = int(np.argmin(np.where(nz, w, code.n + 1)))
             if w[j] < best_w and idx[j] != 0:
                 best_w, best_idx = int(w[j]), int(idx[j])
-    witness = _message_to_codeword(code, best_idx)
-    return best_w / code.n, witness
+    msg = linalg.index_vector(best_idx, code.dimension, code.field.q)
+    return best_w / code.n, linalg.matmul(code.field, code.generator, msg)
 
 
 def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
@@ -346,9 +319,7 @@ def max_list_size(
             for d in diffs:
                 np.add.at(counts, cw_idx ^ d, 1)
         else:
-            diff_vecs = np.stack(
-                [linalg.index_vector(int(d), code.n, q) for d in diffs]
-            )
+            diff_vecs = linalg.index_vector(diffs, code.n, q)
             powers = q ** np.arange(code.n, dtype=np.int64)
             for cw in enumerate_codewords(code):
                 centers = code.field.add(cw[None, :], diff_vecs)
@@ -388,25 +359,18 @@ def mc_rlc_contains(
     """Fraction of random linear codes (over `trials` seeds) containing M.
 
     A fresh uniform parity-check matrix is drawn per trial and M is
-    contained iff H.M = 0.  Vectorized over trials for prime fields.
+    contained iff H.M = 0; trials are batched `chunk` at a time.
     """
     m = np.asarray(m, dtype=np.int64)
     n, ell = m.shape
     rows = int((1 - Fraction(rate)) * n)
     rng = make_rng(seed)
     hits = 0
-    if fld.h == 1:
-        p = fld.p
-        for start in range(0, trials, chunk):
-            b = min(chunk, trials - start)
-            hs = rng.integers(0, p, size=(b, rows, n))
-            prod = np.einsum("brn,nl->brl", hs, m) % p
-            hits += int(np.count_nonzero(~prod.any(axis=(1, 2))))
-        return hits / trials
-    for _ in range(trials):
-        h = rng.integers(0, fld.q, size=(rows, n)).astype(np.int64)
-        if not np.any(linalg.matmul(fld, h, m)):
-            hits += 1
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        hs = rng.integers(0, fld.q, size=(b, rows, n))
+        prod = linalg.matmul(fld, hs, m)
+        hits += int(np.count_nonzero(~prod.any(axis=(1, 2))))
     return hits / trials
 
 
@@ -417,38 +381,30 @@ def mc_ldpc_contains(
     seed: int,
     chunk: int = 1 << 14,
 ) -> float:
-    """Fraction of sampled s-LDPC codes containing M (prime fields vectorized).
+    """Fraction of sampled s-LDPC codes containing M.
 
-    Per layer, M is annihilated iff every parity block's scaled row sum
-    vanishes; layers are sampled independently, so a trial batches t
-    permutations and scalar draws.
+    Per layer, M is annihilated iff every check's scaled row sum vanishes;
+    the layers of `chunk` trials at a time come from the batched sampler
+    that `sample_ldpc` uses, so one trial at `seed` tests exactly the code
+    `sample_ldpc(params, seed)`.
     """
     m = np.asarray(m, dtype=np.int64)
     n, ell = m.shape
     if n != params.n:
         raise LengthMismatch(f"M has {n} rows, params.n = {params.n}")
     fld = params.field
-    s, t, blocks = params.s, params.t, params.checks_per_layer
+    s, blocks = params.s, params.checks_per_layer
     rng = make_rng(seed)
-    if fld.h != 1:
-        hits = 0
-        for i in range(trials):
-            code = sample_ldpc(params, seed=int(rng.integers(0, 2 ** 63)))
-            if not np.any(linalg.matmul(fld, code.h, m)):
-                hits += 1
-        return hits / trials
-    p = fld.p
     hits = 0
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)
         ok = np.ones(b, dtype=bool)
-        for _ in range(t):
-            perms = np.argsort(rng.random(size=(b, n)), axis=1)
-            rows = m[perms]  # (b, n, ell), rows permuted per trial
-            if p > 2:
-                scal = rng.integers(1, p, size=(b, n, 1))
-                rows = rows * scal % p
-            sums = rows.reshape(b, blocks, s, ell).sum(axis=2) % p
+        for perms, scalars in _layer_draws(params, rng, b):
+            rows = fld.mul(m[perms], scalars[:, :, None])  # (b, n, ell)
+            checks = rows.reshape(b, blocks, s, ell)
+            sums = checks[:, :, 0]
+            for j in range(1, s):
+                sums = fld.add(sums, checks[:, :, j])
             ok &= ~sums.any(axis=(1, 2))
         hits += int(np.count_nonzero(ok))
     return hits / trials

@@ -17,6 +17,13 @@ class NumericError(LdpcLabError):
     """An internal numeric consistency check failed."""
 
 
+# --- input data ---
+
+class MalformedInput(PreconditionError, ValueError):
+    """Input data (a file, a matrix, a distribution) is unreadable or
+    holds an entry outside the field or a vector of the wrong length."""
+
+
 # --- field construction ---
 
 class NonPrime(PreconditionError):

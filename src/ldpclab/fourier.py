@@ -45,7 +45,8 @@ def _check_table(field: Field, ell: int) -> int:
 
 @dataclass
 class ComplexDistribution:
-    """Dense complex table over F_q^ell, indexed by vector encoding."""
+    """Dense complex table over F_q^ell, indexed by vector encoding: a
+    distribution, or the Fourier coefficients of one."""
 
     field: Field
     ell: int
@@ -63,13 +64,6 @@ class ComplexDistribution:
             and np.all(v.real >= -tol)
             and abs(v.real.sum() - 1) <= tol
         )
-
-
-@dataclass
-class FourierTable:
-    field: Field
-    ell: int
-    coefficients: np.ndarray
 
 
 def distribution_table(tau: RowDistribution) -> ComplexDistribution:
@@ -106,18 +100,18 @@ def _character_matrix(field: Field, ell: int) -> np.ndarray:
     return field._char_roots[tr]
 
 
-def fourier_transform(f: ComplexDistribution) -> FourierTable:
+def fourier_transform(f: ComplexDistribution) -> ComplexDistribution:
     """fhat(y) = E_x[f(x) conj(chi_x(y))], a direct O(q^(2l)) sum."""
     chi = _character_matrix(f.field, f.ell)
     size = f.values.shape[0]
     coeffs = (f.values[None, :] @ np.conj(chi)).ravel() / size
-    return FourierTable(f.field, f.ell, coeffs)
+    return ComplexDistribution(f.field, f.ell, coeffs)
 
 
-def inverse_transform(t: FourierTable) -> ComplexDistribution:
+def inverse_transform(t: ComplexDistribution) -> ComplexDistribution:
     """f(x) = sum_y fhat(y) chi_y(x)."""
     chi = _character_matrix(t.field, t.ell)
-    return ComplexDistribution(t.field, t.ell, (t.coefficients[None, :] @ chi).ravel())
+    return ComplexDistribution(t.field, t.ell, (t.values[None, :] @ chi).ravel())
 
 
 def conv_power_at_zero(p: ComplexDistribution, s: int) -> float:
@@ -129,7 +123,7 @@ def conv_power_at_zero(p: ComplexDistribution, s: int) -> float:
     """
     if s < 1:
         raise ValueError(f"s = {s} must be >= 1")
-    coeffs = fourier_transform(p).coefficients
+    coeffs = fourier_transform(p).values
     val = np.sum(coeffs ** s)
     if abs(val.imag) > IMAG_TOL:
         raise NonRealResult(f"imaginary residue {val.imag} in convolution power")
@@ -144,7 +138,7 @@ def fourier_coefficient_bound(
     if float(smoothness(tau)) < delta - 1e-12:
         raise NotSmoothEnough(f"tau is not {delta}-smooth")
     q, ell = tau.field.q, tau.ell
-    coeffs = fourier_transform(scalar_twist(tau)).coefficients
+    coeffs = fourier_transform(scalar_twist(tau)).values
     if np.max(np.abs(coeffs[1:].imag)) > IMAG_TOL:
         raise NonRealResult("nonzero coefficient with imaginary part")
     max_coeff = float(np.max(coeffs[1:].real))
@@ -235,7 +229,7 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     counts, with multivariate hypergeometric transition weights; the
     within-block zero-sum probability comes from convolving the per-row
     twisted tables.  For l = 1 only the nonzero count matters and the
-    unbounded-n weight DP applies.
+    weight DP `gvdistance.weight_layer_prob` applies, for any n.
     """
     fld = tau.field
     q = fld.q
@@ -251,29 +245,7 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
 
     if tau.ell == 1:
         w = sum(c for (v,), c in zip(supp, counts) if v != 0)
-        r = gvdistance.zero_sum_probs(q, s)
-        blocks = n // s
-
-        @lru_cache(maxsize=None)
-        def layer(b: int, w_rem: int) -> float:
-            if b == blocks:
-                return 1.0 if w_rem == 0 else 0.0
-            n_rem = (blocks - b) * s
-            total = 0.0
-            for k in range(max(0, w_rem - (n_rem - s)), min(s, w_rem) + 1):
-                if r[k] == 0.0:
-                    continue
-                pk = (
-                    math.comb(w_rem, k)
-                    * math.comb(n_rem - w_rem, s - k)
-                    / math.comb(n_rem, s)
-                )
-                total += pk * r[k] * layer(b + 1, w_rem - k)
-            return total
-
-        out = layer(0, w)
-        layer.cache_clear()
-        return out
+        return gvdistance.weight_layer_prob(q, n, s, w)
 
     if len(supp) > 6 or n // s > 16:
         raise StateSpaceTooLarge(

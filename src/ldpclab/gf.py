@@ -2,10 +2,11 @@
 
 Elements are represented as integers in [0, q): the base-p digits of the
 integer are the coefficients of the residue polynomial (digit i is the
-coefficient of x^i).  Multiplication goes through log/antilog tables built
-from a fixed generator; addition is digit-wise mod p (XOR when p = 2).
-The trace map and the additive characters needed for Fourier analysis are
-precomputed at construction.
+coefficient of x^i).  Prime fields multiply and add mod p directly;
+extension fields multiply through log/antilog tables built from a fixed
+generator and add digit-wise mod p (XOR when p = 2).  The trace map and
+the additive characters needed for Fourier analysis are precomputed at
+construction.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ class Field:
     """An immutable F_q with log/antilog tables, trace, and characters."""
 
     def __init__(self, p: int, h: int):
+        if not all(isinstance(x, (int, np.integer)) for x in (p, h)):
+            raise PreconditionError(f"p = {p!r} and h = {h!r} must be integers")
         if h < 1:
             raise PreconditionError(f"extension degree must be >= 1, got {h}")
         if not _is_prime(p):
@@ -245,6 +248,10 @@ class Field:
 
     def mul(self, a, b):
         scalar = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
+        if self.h == 1:
+            if scalar:
+                return int(a) * int(b) % self.p
+            return np.multiply(a, b, dtype=np.int64) % self.p
         a = np.asarray(a)
         b = np.asarray(b)
         nz = (a != 0) & (b != 0)

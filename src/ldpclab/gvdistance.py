@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BisectionNoBracket,
@@ -28,10 +27,6 @@ from .errors import (
     PreconditionViolated,
     StateSpaceTooLarge,
 )
-
-# limits of phi and lambda(beta) at the excluded boundary beta = 0
-PHI_AT_ZERO = 0.0
-LAMBDA_AT_ZERO = 0.0
 
 BISECT_TOL = 1e-12
 
@@ -76,6 +71,40 @@ def zero_sum_probs(q: int, kmax: int) -> list[float]:
     for _ in range(2, kmax + 1):
         r.append((1 - r[-1]) / (q - 1))
     return r[: kmax + 1]
+
+
+def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:
+    """Probability that one layer annihilates a fixed weight-w word in F_q^n.
+
+    A layer partitions [n] into n/s blocks of s; a block holding k of the w
+    nonzero coordinates annihilates them with probability r_k (each entry
+    is scaled by a fresh uniform unit).  The DP walks the blocks from the
+    last one back, tracking how many nonzero coordinates remain, with
+    hypergeometric transition weights; it runs in O(n w) steps without
+    recursion.  The caller checks that s divides n.
+    """
+    r = zero_sum_probs(q, s)
+    blocks = n // s
+    # after[x]: probability that the blocks after the current one
+    # annihilate x nonzero coordinates (past the last block, only x = 0)
+    after = [1.0]
+    for b in range(blocks - 1, -1, -1):
+        n_rem = (blocks - b) * s
+        cur = []
+        for x in range(min(w, n_rem) + 1):
+            total = 0.0
+            for k in range(max(0, x - (n_rem - s)), min(s, x) + 1):
+                if r[k] == 0.0:
+                    continue
+                pk = (
+                    math.comb(x, k)
+                    * math.comb(n_rem - x, s - k)
+                    / math.comb(n_rem, s)
+                )
+                total += pk * r[k] * after[x - k]
+            cur.append(total)
+        after = cur
+    return after[w]
 
 
 def _check_beta(beta: float, q: int, name: str = "beta") -> None:
@@ -216,44 +245,17 @@ def p_lambda_bound(lam: float, n: int, params: GvParams) -> float:
 
 
 def p_lambda_exact(lam: float, n: int, params: GvParams) -> float:
-    """Exact log_q P_lambda by dynamic programming over the layer blocks.
+    """Exact log_q P_lambda from the layer DP `weight_layer_prob`.
 
-    A layer partitions [n] into n/s blocks; a block holding k of the w
-    nonzero coordinates annihilates them with probability r_k (each entry
-    is scaled by a fresh uniform unit).  The DP walks the blocks tracking
-    how many nonzero coordinates remain, with hypergeometric transition
-    weights.  Layers are independent, so P_lambda = (layer prob)^t.
-    Returns -inf when the probability is 0.
+    Layers are independent, so P_lambda = (layer prob)^t.  Returns -inf
+    when the probability is 0.
     """
     q, s = params.q, params.s
     if n % s != 0:
         raise PreconditionViolated(f"s = {s} does not divide n = {n}")
     if n // s > 64 or s > 16:
         raise StateSpaceTooLarge(f"n/s = {n // s}, s = {s} beyond DP guard")
-    w = _check_weight(lam, n)
-    r = zero_sum_probs(q, s)
-    blocks = n // s
-
-    @lru_cache(maxsize=None)
-    def layer(b: int, w_rem: int) -> float:
-        if b == blocks:
-            return 1.0 if w_rem == 0 else 0.0
-        n_rem = (blocks - b) * s
-        total = 0.0
-        kmin = max(0, w_rem - (n_rem - s))
-        for k in range(kmin, min(s, w_rem) + 1):
-            if r[k] == 0.0:
-                continue
-            pk = (
-                math.comb(w_rem, k)
-                * math.comb(n_rem - w_rem, s - k)
-                / math.comb(n_rem, s)
-            )
-            total += pk * r[k] * layer(b + 1, w_rem - k)
-        return total
-
-    p1 = layer(0, w)
-    layer.cache_clear()
+    p1 = weight_layer_prob(q, n, s, _check_weight(lam, n))
     if p1 == 0.0:
         return -math.inf
     return float(params.t) * math.log(p1, q)

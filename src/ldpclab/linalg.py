@@ -12,30 +12,43 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import TooManySubspaces
+from .errors import MalformedInput, TooManySubspaces
 from .gf import Field
 
 MAX_SUBSPACES = 10 ** 6
 
 
-def as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.int64)
+def as_matrix(entries, field: Field | None = None) -> np.ndarray:
+    """`entries` as a 2-D int64 array; with a field, every entry must lie in [0, q)."""
+    try:
+        m = np.asarray(entries, dtype=np.int64)
+    except (TypeError, ValueError) as e:
+        raise MalformedInput(f"not an integer matrix: {e}") from None
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+        raise MalformedInput(f"expected a 2-D matrix, got shape {m.shape}")
+    if field is not None and m.size and (m.min() < 0 or m.max() >= field.q):
+        raise MalformedInput(f"matrix entry outside [0, {field.q})")
     return m
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over F_q."""
-    a = np.atleast_2d(np.asarray(a))
-    b = np.asarray(b)
+    """Matrix product over F_q; leading axes of `a` are batch axes.
+
+    Prime fields reduce the integer product mod p (on int64: a uint8 `@`
+    wraps); extension fields accumulate one column of `a` at a time.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    b = np.asarray(b, dtype=np.int64)
     b2 = b[:, None] if b.ndim == 1 else b
-    if a.shape[1] != b2.shape[0]:
+    if a.shape[-1] != b2.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {b2.shape}")
-    out = np.zeros((a.shape[0], b2.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = field.add(out, field.mul(a[:, k][:, None], b2[k][None, :]))
-    return out[:, 0] if b.ndim == 1 else out
+    if field.h == 1:
+        out = (a @ b2) % field.p
+    else:
+        out = np.zeros(a.shape[:-1] + b2.shape[1:], dtype=np.int64)
+        for k in range(a.shape[-1]):
+            out = field.add(out, field.mul(a[..., k, None], b2[k]))
+    return out[..., 0] if b.ndim == 1 else out
 
 
 def rref(field: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
@@ -133,19 +146,16 @@ def vector_index(v, q: int) -> int:
     return idx
 
 
-def index_vector(idx: int, ell: int, q: int) -> np.ndarray:
-    v = np.zeros(ell, dtype=np.int64)
+def index_vector(idx, ell: int, q: int) -> np.ndarray:
+    """Decode an index, or an array of indices into one vector per row."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.zeros(idx.shape + (ell,), dtype=np.int64)
     for i in range(ell):
-        v[i] = idx % q
-        idx //= q
-    return v
+        out[..., i] = idx % q
+        idx = idx // q
+    return out
 
 
 def all_vectors(ell: int, q: int) -> np.ndarray:
     """All q^ell vectors as a (q^ell, ell) array, row i encoding index i."""
-    idx = np.arange(q ** ell)
-    out = np.zeros((q ** ell, ell), dtype=np.int64)
-    for i in range(ell):
-        out[:, i] = idx % q
-        idx = idx // q
-    return out
+    return index_vector(np.arange(q ** ell), ell, q)

@@ -20,6 +20,7 @@ from . import linalg
 from .errors import (
     DegenerateDistribution,
     KernelFullSpace,
+    MalformedInput,
     NotInLtau,
     PreconditionViolated,
     SupportTooLarge,
@@ -44,14 +45,17 @@ class RowDistribution:
     def from_dict(field: Field, ell: int, d: dict) -> "RowDistribution":
         items = []
         for vec, mass in sorted(d.items()):
+            vec = tuple(int(x) for x in vec)
+            if len(vec) != ell or not all(0 <= x < field.q for x in vec):
+                raise MalformedInput(f"{vec} is not a vector of F_{field.q}^{ell}")
             mass = Fraction(mass)
             if mass < 0:
-                raise ValueError(f"negative mass at {vec}")
+                raise MalformedInput(f"negative mass at {vec}")
             if mass > 0:
-                items.append((tuple(int(x) for x in vec), mass))
+                items.append((vec, mass))
         total = sum(m for _, m in items)
         if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
+            raise MalformedInput(f"masses sum to {total}, not 1")
         return RowDistribution(field, ell, tuple(items))
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
@@ -80,10 +84,13 @@ class RowDistribution:
 
     @staticmethod
     def from_json(text: str) -> "RowDistribution":
-        doc = json.loads(text)
-        fld = field_new(doc["field"]["p"], doc["field"]["h"])
-        d = {tuple(v): Fraction(num, den) for v, num, den in doc["masses"]}
-        return RowDistribution.from_dict(fld, doc["ell"], d)
+        try:
+            doc = json.loads(text)
+            p, h, ell = doc["field"]["p"], doc["field"]["h"], doc["ell"]
+            d = {tuple(v): Fraction(num, den) for v, num, den in doc["masses"]}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+            raise MalformedInput(f"malformed distribution JSON: {e!r}") from None
+        return RowDistribution.from_dict(field_new(p, h), ell, d)
 
 
 def row_distribution_of(field: Field, m: np.ndarray) -> RowDistribution:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldpclab
 from ldpclab import cli, ensembles, rowdist
 from ldpclab.gf import field_new
 
@@ -135,3 +140,64 @@ def test_exit_code_resource_guard(tmp_path, capsys):
     path.write_text(tau.to_json())
     assert run(["threshold", "--tau", str(path), "--seed", "0"]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(ldpclab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ldpclab.cli", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stderr
+
+
+def assert_bad_input(argv):
+    code, err = run_process(argv)
+    assert code == 2, err
+    assert "Traceback" not in err and "precondition" in err
+
+
+def test_bad_input_masses_do_not_sum_to_one(tmp_path):
+    doc = json.loads(example_tau_file(tmp_path).read_text())
+    doc["masses"][0][1] = 2  # 2/4 + 3 * 1/4
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_bad_input(["threshold", "--tau", str(path), "--seed", "0"])
+
+
+def test_bad_input_missing_masses_key(tmp_path):
+    doc = json.loads(example_tau_file(tmp_path).read_text())
+    del doc["masses"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_bad_input(["threshold", "--tau", str(path), "--seed", "0"])
+
+
+def test_bad_input_matrix_entry_outside_field(tmp_path):
+    m = np.zeros((24, 2), dtype=np.int64)
+    m[:2, 0] = 1
+    m[2:4, 1] = 5
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"field": {"p": 2, "h": 1}, "rows": m.tolist()}))
+    assert_bad_input(["ldpc-contain", "--matrix", str(path), "--s", "3",
+                      "--rate", "1/3", "--seed", "0"])
+
+
+def test_bad_input_missing_file(tmp_path):
+    assert_bad_input(["ldpc-contain", "--matrix", str(tmp_path / "absent.json"),
+                      "--s", "3", "--rate", "1/3", "--seed", "0"])
+
+
+def test_threshold_empirical_at_default_n(tmp_path):
+    # at n = 48 the sweep keeps only rates whose 2^(48 R) codewords can be
+    # enumerated, instead of tripping the enumeration guard
+    tau = rowdist.RowDistribution.from_dict(
+        F2, 1, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
+    path = tmp_path / "tau.json"
+    path.write_text(tau.to_json())
+    out = tmp_path / "sweep.json"
+    assert run(["threshold", "--tau", str(path), "--empirical", "--trials", "1",
+                "--seed", "0", "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())["empirical_sweep"]
+    rates = [Fraction(*row["rate"]) for row in sweep]
+    assert len(rates) == 12 and max(rates) == Fraction(1, 2)
+    assert all(2 ** (r * 48) <= ensembles.ENUM_GUARD for r in rates)

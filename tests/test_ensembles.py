@@ -1,10 +1,19 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpclab import ensembles, linalg
-from ldpclab.errors import BadRate, CodeTooLarge, DivisibilityViolation, LengthMismatch
+from ldpclab.errors import (
+    BadRate,
+    CodeTooLarge,
+    DivisibilityViolation,
+    LengthMismatch,
+    MalformedInput,
+)
 from ldpclab.gf import field_new
 
 F2 = field_new(2)
@@ -155,7 +164,46 @@ def test_mc_contains_trivial_cases():
     assert a == b
 
 
-def test_fisher_yates_is_permutation():
-    rng = ensembles.make_rng(0)
-    perm = ensembles.fisher_yates(rng, 50)
-    assert sorted(perm.tolist()) == list(range(50))
+def test_layer_draws_are_permutations_and_units():
+    for fld in (F2, F3, field_new(2, 2), field_new(7)):
+        params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
+        layers = list(ensembles._layer_draws(params, ensembles.make_rng(0), 50))
+        assert len(layers) == params.t
+        for perms, scalars in layers:
+            assert perms.shape == scalars.shape == (50, 12)
+            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(12), (50, 1)))
+            assert np.all((scalars >= 1) & (scalars < fld.q))
+
+
+@pytest.mark.parametrize("fld", [F2, F3, field_new(2, 2)])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1))
+def test_one_mc_trial_tests_the_sampled_code(fld, seed):
+    # a single Monte Carlo trial at `seed` tests the code sample_ldpc draws
+    # at `seed`: its generator is contained, a perturbed copy is not
+    params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
+    code = ensembles.sample_ldpc(params, seed)
+    g = code.generator
+    bad = g.copy()
+    bad[0, 0] = fld.add(int(bad[0, 0]), 1)
+    outcomes = []
+    for m in (g, bad):
+        contained = not np.any(linalg.matmul(fld, code.h, m))
+        assert ensembles.mc_ldpc_contains(m, params, 1, seed) == float(contained)
+        outcomes.append(contained)
+    assert outcomes == [True, False]
+
+
+def test_code_json_rejects_bad_entries():
+    code = ensembles.sample_rlc(6, Fraction(1, 3), F3, 1)
+    doc = json.loads(code.to_json())
+    doc["h_rows"][0] = "5" + doc["h_rows"][0][1:]
+    with pytest.raises(MalformedInput):
+        ensembles.LinearCode.from_json(json.dumps(doc))
+    doc = json.loads(code.to_json())
+    doc["h_rows"][0] = doc["h_rows"][0][1:]
+    with pytest.raises(MalformedInput):
+        ensembles.LinearCode.from_json(json.dumps(doc))
+    del doc["seed"]
+    with pytest.raises(MalformedInput):
+        ensembles.LinearCode.from_json(json.dumps(doc))

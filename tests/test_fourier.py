@@ -49,13 +49,13 @@ def test_transform_of_uniform_and_point_mass():
     for fld, ell in [(F2, 3), (F3, 2), (F4, 1)]:
         size = fld.q ** ell
         u = fourier.ComplexDistribution(fld, ell, uniform_values(fld, ell))
-        coeffs = fourier.fourier_transform(u).coefficients
+        coeffs = fourier.fourier_transform(u).values
         expect = np.zeros(size, dtype=np.complex128)
         expect[0] = 1 / size
         assert np.allclose(coeffs, expect, atol=1e-12)
         point = fourier.ComplexDistribution.zeros(fld, ell)
         point.values[0] = 1.0
-        coeffs = fourier.fourier_transform(point).coefficients
+        coeffs = fourier.fourier_transform(point).values
         assert np.allclose(coeffs, np.full(size, 1 / size), atol=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_inversion_and_parseval(fld, ell):
         t = fourier.fourier_transform(f)
         back = fourier.inverse_transform(t)
         assert np.allclose(back.values, vals, atol=1e-10)
-        lhs = np.sum(np.abs(t.coefficients) ** 2)
+        lhs = np.sum(np.abs(t.values) ** 2)
         rhs = np.mean(np.abs(vals) ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -155,6 +155,11 @@ def test_exact_layer_prob_point_mass_and_weight_path():
     # l = 1: weight-2 vector in n = 6, blocks of 3
     tau = make_tau(F2, 1, {(0,): Fraction(2, 3), (1,): Fraction(1, 3)})
     assert fourier.exact_layer_prob(tau, 6, 3) == pytest.approx(0.4, abs=1e-12)
+    # many blocks: two nonzeros share a block with probability (s-1)/(n-1),
+    # and over F_3 two uniform units cancel with probability 1/2
+    tau = make_tau(F3, 1, {(0,): Fraction(2998, 3000), (2,): Fraction(2, 3000)})
+    assert fourier.exact_layer_prob(tau, 3000, 3) == pytest.approx(
+        2 / 2999 / 2, rel=1e-12)
 
 
 def test_exact_layer_prob_small_matrices():

@@ -75,6 +75,8 @@ def test_construction_errors():
         Field(2, 17)
     with pytest.raises(PreconditionError):
         Field(2, 0)
+    with pytest.raises(PreconditionError):
+        Field("2", 1)  # as read from a malformed input file
 
 
 def test_scalar_vs_array_consistency():

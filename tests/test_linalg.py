@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpclab import linalg
 from ldpclab.errors import TooManySubspaces
@@ -37,6 +39,27 @@ def test_matmul_matches_schoolbook():
             assert out[i, j] == acc
     v = rng.integers(0, f.q, size=4)
     assert np.array_equal(linalg.matmul(f, a, v), linalg.matmul(f, a, v[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@settings(max_examples=20, deadline=None)
+@given(batch=st.lists(st.integers(1, 3), max_size=2), rows=st.integers(1, 4),
+       inner=st.integers(0, 6), cols=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_batched_matmul_matches_per_slice(p, h, batch, rows, inner, cols, seed):
+    f = field_new(p, h)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, f.q, size=(*batch, rows, inner)).astype(np.uint8)
+    b = rng.integers(0, f.q, size=(inner, cols)).astype(np.uint8)
+    out = linalg.matmul(f, a, b)
+    assert out.shape == (*batch, rows, cols) and out.dtype == np.int64
+    for i in np.ndindex(*batch):
+        assert np.array_equal(out[i], linalg.matmul(f, a[i], b))
+        for r in range(rows):
+            for c in range(cols):
+                acc = 0
+                for k in range(inner):
+                    acc = f.add(acc, f.mul(int(a[i][r, k]), int(b[k, c])))
+                assert out[i][r, c] == acc
 
 
 def test_gaussian_binomials():
