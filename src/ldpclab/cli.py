@@ -15,19 +15,30 @@ from fractions import Fraction
 import numpy as np
 
 from . import ensembles, fourier, gvdistance, linalg, rowdist
-from .errors import MalformedInput, NumericError, PreconditionError, ResourceGuardError
+from .errors import (
+    MalformedInput,
+    NotInLtau,
+    NumericError,
+    PreconditionError,
+    ResourceGuardError,
+)
 from .gf import Field, field_new
 
 
 def _parse_field(text: str) -> Field:
     parts = text.split(",")
-    p = int(parts[0])
-    h = int(parts[1]) if len(parts) > 1 else 1
+    try:
+        p, h = map(int, parts) if len(parts) == 2 else (int(text), 1)
+    except ValueError:
+        raise MalformedInput(f"--field must be p or p,h, got {text!r}") from None
     return field_new(p, h)
 
 
 def _parse_rate(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"rate {text!r} has a zero denominator") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,9 +129,12 @@ def _containment_frequency(
         raise PreconditionError(
             "empirical containment sweep supports single-column distributions only"
         )
-    w = int(tau.mass((1,)) * n) if tau.field.q == 2 else None
-    if w is None:
+    if tau.field.q != 2:
         raise PreconditionError("empirical sweep implemented for q = 2")
+    weight = tau.mass((1,)) * n
+    if weight.denominator != 1:
+        raise NotInLtau(f"tau(1) * n = {weight} is not an integer weight")
+    w = int(weight)
     hits = 0
     for i in range(trials):
         code = ensembles.sample_rlc(n, rate, tau.field, seed + i)

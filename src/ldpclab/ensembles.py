@@ -187,16 +187,19 @@ def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
     """All codewords of a binary code with n <= 64, as uint64 bitmasks.
 
     Codeword for message index m is the XOR of the generators selected by
-    the bits of m; built by doubling so index order matches message order.
+    the bits of m; built by doubling in place so index order matches
+    message order.  Bit i of a mask is coordinate i, as in `vector_index`.
     """
     assert code.field.q == 2 and code.n <= 64
-    gens = [
-        np.uint64(linalg.vector_index(code.generator[:, j], 2))
-        for j in range(code.dimension)
-    ]
-    cws = np.zeros(1, dtype=np.uint64)
-    for g in gens:
-        cws = np.concatenate([cws, cws ^ g])
+    k = code.dimension
+    packed = np.packbits(code.generator.T.astype(np.uint8), axis=1, bitorder="little")
+    words = np.zeros((k, 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    gens = words.view("<u8")[:, 0]
+    cws = np.empty(1 << k, dtype=np.uint64)
+    cws[0] = 0
+    for j in range(k):
+        np.bitwise_xor(cws[:1 << j], gens[j], out=cws[1 << j:2 << j])
     return cws
 
 

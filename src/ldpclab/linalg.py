@@ -52,8 +52,17 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rref(field: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form; returns (R, rank, pivot columns)."""
-    r = as_matrix(m).copy()
+    """Reduced row echelon form; returns (R, rank, pivot columns).
+
+    Over F_2 each row is packed into a Python int (bit j is column j, so
+    any width works) and rows are eliminated by XOR; over other fields
+    each pivot clears its whole column in one array update.  The RREF is
+    unique, so both give the same R as a row-at-a-time elimination.
+    """
+    r = as_matrix(m)
+    if field.q == 2:
+        return _rref_gf2(r)
+    r = r.copy()
     rows, cols = r.shape
     pivots: list[int] = []
     pr = 0
@@ -67,12 +76,40 @@ def rref(field: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         if lead != pr:
             r[[pr, lead]] = r[[lead, pr]]
         r[pr] = field.mul(field.inv(int(r[pr, col])), r[pr])
-        for i in range(rows):
-            if i != pr and r[i, col]:
-                r[i] = field.sub(r[i], field.mul(int(r[i, col]), r[pr]))
+        f = r[:, col].copy()
+        f[pr] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:
+            r[hit] = field.sub(r[hit], field.mul(f[hit, None], r[pr]))
         pivots.append(col)
         pr += 1
     return r, len(pivots), pivots
+
+
+def _rref_gf2(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    rows, cols = m.shape
+    packed = np.packbits(m.astype(np.uint8), axis=1, bitorder="little")
+    r = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    pivots: list[int] = []
+    pr = 0
+    for col in range(cols):
+        if pr >= rows:
+            break
+        bit = 1 << col
+        lead = next((i for i in range(pr, rows) if r[i] & bit), None)
+        if lead is None:
+            continue
+        r[pr], r[lead] = r[lead], r[pr]
+        p = r[pr]
+        r = [x ^ p if x & bit else x for x in r]
+        r[pr] = p
+        pivots.append(col)
+        pr += 1
+    width = packed.shape[1]
+    data = b"".join(x.to_bytes(width, "little") for x in r)
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(rows, width)
+    out = np.unpackbits(bits, axis=1, count=cols, bitorder="little")
+    return out.astype(np.int64), len(pivots), pivots
 
 
 def rank(field: Field, m: np.ndarray) -> int:
@@ -86,10 +123,8 @@ def kernel_basis(field: Field, m: np.ndarray) -> np.ndarray:
     cols = m.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, j] = field.neg(int(r[i, fc]))
+    basis[free, range(len(free))] = 1
+    basis[pivots] = field.neg(r[:rk][:, free])
     return basis
 
 

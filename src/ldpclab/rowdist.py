@@ -165,13 +165,12 @@ def implied_distribution(tau: RowDistribution, kernel: np.ndarray) -> RowDistrib
     kernel = np.asarray(kernel, dtype=np.int64).reshape(-1, tau.ell)
     if kernel.shape[0] >= tau.ell and linalg.rank(tau.field, kernel) == tau.ell:
         raise KernelFullSpace("kernel must be a proper subspace")
-    a = linalg.kernel_basis(tau.field, kernel).T  # (l - dim kernel) x l
-    m = a.shape[0]
+    a_t = linalg.kernel_basis(tau.field, kernel)  # l x (l - dim kernel)
+    m = a_t.shape[1]
+    images = linalg.matmul(tau.field, tau.support_matrix(), a_t)  # row i is A.v_i
     out: dict[tuple[int, ...], Fraction] = {}
-    for v, mass in tau.masses:
-        img = tuple(
-            int(x) for x in linalg.matmul(tau.field, a, np.array(v, dtype=np.int64))
-        )
+    for (_, mass), img in zip(tau.masses, images.tolist()):
+        img = tuple(img)
         out[img] = out.get(img, Fraction(0)) + mass
     return RowDistribution.from_dict(tau.field, m, out)
 
@@ -230,8 +229,8 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
         if kernel.shape[0] == tau.ell:
             continue  # full space: A would have rank 0
         implied = implied_distribution(tau, kernel)
-        if span_dim(implied) == 0:
-            continue
+        if implied.support() == [(0,) * implied.ell]:
+            continue  # spans {0}
         r = expectation_threshold(implied)
         if best is None or r > best:
             best, best_kernel, best_implied = r, kernel, implied

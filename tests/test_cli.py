@@ -187,6 +187,28 @@ def test_bad_input_missing_file(tmp_path):
                       "--s", "3", "--rate", "1/3", "--seed", "0"])
 
 
+def test_bad_input_field_not_an_integer():
+    assert_bad_input(["sample", "--field", "abc", "--n", "12", "--rate", "1/3",
+                      "--seed", "0"])
+
+
+def test_bad_input_rate_zero_denominator():
+    code, err = run_process(["sample", "--field", "2", "--n", "12", "--rate", "1/0",
+                             "--seed", "0"])
+    assert code == 2, err
+    assert "Traceback" not in err and "--rate" in err
+
+
+def test_threshold_empirical_rejects_fractional_weight(tmp_path):
+    # tau(1) * n = 10/4 is not a weight; truncating it would sweep weight 2
+    tau = rowdist.RowDistribution.from_dict(
+        F2, 1, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
+    path = tmp_path / "tau.json"
+    path.write_text(tau.to_json())
+    assert_bad_input(["threshold", "--tau", str(path), "--empirical", "--n", "10",
+                      "--trials", "1", "--seed", "0"])
+
+
 def test_threshold_empirical_at_default_n(tmp_path):
     # at n = 48 the sweep keeps only rates whose 2^(48 R) codewords can be
     # enumerated, instead of tripping the enumeration guard

@@ -111,6 +111,22 @@ def test_min_distance_bitmask_vs_generic():
     assert ensembles.contains(code, w_fast)
 
 
+@pytest.mark.parametrize("k", range(11))
+def test_codeword_bitmasks_match_enumeration(k):
+    # H = [I | A] leaves the last k coordinates free, so at n = 64 the top
+    # bit of the masks is set
+    n = 64
+    a = np.random.default_rng(k).integers(0, 2, size=(n - k, k))
+    code = ensembles.LinearCode(F2, np.hstack([np.eye(n - k, dtype=np.int64), a]),
+                                0, Fraction(k, n), 0)
+    assert code.dimension == k
+    masks = ensembles._codeword_bitmasks(code)
+    expected = [linalg.vector_index(cw, 2) for cw in ensembles.enumerate_codewords(code)]
+    assert masks.dtype == np.uint64 and masks.tolist() == expected
+    if k:
+        assert int(masks.max()) >> (n - 1) == 1
+
+
 def test_has_codeword_of_weight():
     code = ensembles.sample_rlc(12, Fraction(1, 3), F2, 8)
     present = {

@@ -8,6 +8,87 @@ from ldpclab.errors import TooManySubspaces
 from ldpclab.gf import field_new
 
 
+def rref_oracle(field, m):
+    """Row-at-a-time reduced row echelon form, the reference for `linalg.rref`."""
+    r = linalg.as_matrix(m).copy()
+    rows, cols = r.shape
+    pivots: list[int] = []
+    pr = 0
+    for col in range(cols):
+        if pr >= rows:
+            break
+        nz = np.nonzero(r[pr:, col])[0]
+        if nz.size == 0:
+            continue
+        lead = pr + int(nz[0])
+        if lead != pr:
+            r[[pr, lead]] = r[[lead, pr]]
+        r[pr] = field.mul(field.inv(int(r[pr, col])), r[pr])
+        for i in range(rows):
+            if i != pr and r[i, col]:
+                r[i] = field.sub(r[i], field.mul(int(r[i, col]), r[pr]))
+        pivots.append(col)
+        pr += 1
+    return r, len(pivots), pivots
+
+
+def kernel_basis_oracle(field, m):
+    r, rk, pivots = rref_oracle(field, m)
+    cols = r.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, j] = field.neg(int(r[i, fc]))
+    return basis
+
+
+@st.composite
+def matrices(draw, q, max_rows=8, min_cols=0, max_cols=8):
+    """Matrices over [0, q), some with duplicated rows."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.integers(0, q, size=(rows, cols))
+    if rows > 1 and draw(st.booleans()):
+        m[rng.integers(0, rows, size=rows // 2)] = m[rng.integers(0, rows)]
+    return m
+
+
+def assert_matches_oracle(f, m):
+    r, rk, piv = linalg.rref(f, m)
+    r0, rk0, piv0 = rref_oracle(f, m)
+    assert r.dtype == np.int64 and np.array_equal(r, r0)
+    assert rk == rk0 and piv == piv0
+    assert all(type(c) is int for c in piv)
+    assert np.array_equal(linalg.kernel_basis(f, m), kernel_basis_oracle(f, m))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rref_matches_row_oracle(p, h, data):
+    f = field_new(p, h)
+    assert_matches_oracle(f, data.draw(matrices(f.q)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rref_gf2_wider_than_a_word(data):
+    assert_matches_oracle(field_new(2), data.draw(matrices(2, 40, 65, 150)))
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (9, 3)])
+def test_rref_edge_shapes_match_row_oracle(p, h, shape):
+    f = field_new(p, h)
+    m = np.random.default_rng(5).integers(0, f.q, size=shape)
+    assert_matches_oracle(f, m)
+    if shape[0] > 1:
+        assert_matches_oracle(f, np.repeat(m[:1], shape[0], axis=0))
+
+
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_rref_idempotent_and_kernel(p, h):
     f = field_new(p, h)
