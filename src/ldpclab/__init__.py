@@ -1,7 +1,7 @@
 """Toolkit for layered sparse random codes: ensembles, thresholds,
 Fourier containment bounds, and distance certificates over F_q."""
 
-from .gf import Field, FqElement, field_new
+from .gf import Field, field_new
 from .errors import (
     LdpcLabError,
     NumericError,
@@ -11,7 +11,6 @@ from .errors import (
 
 __all__ = [
     "Field",
-    "FqElement",
     "field_new",
     "LdpcLabError",
     "PreconditionError",

@@ -41,6 +41,30 @@ def _parse_rate(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"rate {text!r} has a zero denominator") from None
 
 
+def _count(minimum: int):
+    """argparse type: an integer count of at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return parse
+
+
+def _radius(text: str) -> float:
+    """argparse type: a relative radius, a finite float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{text} does not lie in [0, 1]")
+    return value
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
@@ -69,13 +93,13 @@ def load_matrix(path: str) -> tuple[Field, np.ndarray]:
     return fld, linalg.as_matrix(rows, fld)
 
 
-def _feasible_rates(n: int, s: int, q: int, points: int) -> list[Fraction]:
-    """Evenly spread rates R = k/n with (1-R)s integral when s > 0 and
-    q^k within the codeword enumeration guard."""
+def _feasible_rates(n: int, s: int, points: int, q: int | None = None) -> list[Fraction]:
+    """Evenly spread rates R = k/n with (1-R)s integral when s > 0 and, when
+    q is given, q^k within the codeword enumeration guard."""
     rates = []
     for k in range(1, n):
         r = Fraction(k, n)
-        if (s and ((1 - r) * s).denominator != 1) or q ** k > ensembles.ENUM_GUARD:
+        if (s and ((1 - r) * s).denominator != 1) or (q and q ** k > ensembles.ENUM_GUARD):
             continue
         rates.append(r)
     if len(rates) <= points:
@@ -149,7 +173,7 @@ def cmd_threshold(args) -> None:
     doc = json.loads(report.to_json())
     if args.empirical:
         sweep = []
-        for rate in _feasible_rates(args.n, 0, tau.field.q, 12):
+        for rate in _feasible_rates(args.n, 0, 12, tau.field.q):
             freq = _containment_frequency(tau, args.n, rate, args.trials, args.seed)
             sweep.append({"rate": [rate.numerator, rate.denominator], "frequency": freq})
         doc["empirical_sweep"] = sweep
@@ -181,7 +205,7 @@ def cmd_ldpc_contain(args) -> None:
 def cmd_listdecode(args) -> None:
     fld = _parse_field(args.field)
     rows = []
-    for rate in _feasible_rates(args.n, args.s, fld.q, 8):
+    for rate in _feasible_rates(args.n, args.s, 8):
         sizes = []
         for i in range(args.trials):
             params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, rate)
@@ -221,49 +245,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample a code and write its JSON form")
     p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--rate", type=_parse_rate, required=True)
-    p.add_argument("--s", type=int, default=0, help="sparsity; 0 = random linear")
+    p.add_argument("--s", type=_count(0), default=0, help="sparsity; 0 = random linear")
     common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("distance-profile", help="distance certificate grid")
     p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--rate", type=_parse_rate, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--s", type=_count(0), default=0)
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_count(1), default=50)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
     p.set_defaults(func=cmd_distance_profile)
 
     p = sub.add_parser("threshold", help="containment threshold of a distribution")
     p.add_argument("--tau", required=True, help="distribution JSON file")
-    p.add_argument("--n", type=int, default=48)
+    p.add_argument("--n", type=_count(1), default=48)
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count(1), default=200)
     common(p)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("ldpc-contain", help="containment bound vs oracles")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_count(1), required=True)
     p.add_argument("--rate", type=_parse_rate, required=True)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_count(0), default=0)
     common(p)
     p.set_defaults(func=cmd_ldpc_contain)
 
     p = sub.add_parser("listdecode", help="list sizes across rates")
     p.add_argument("--field", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--list-size", type=int, default=1)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--n", type=_count(1), required=True)
+    p.add_argument("--s", type=_count(1), required=True)
+    p.add_argument("--alpha", type=_radius, required=True)
+    p.add_argument("--list-size", type=_count(1), default=1)
+    p.add_argument("--trials", type=_count(1), default=10)
     common(p)
     p.set_defaults(func=cmd_listdecode)
 

@@ -13,6 +13,7 @@ deterministically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -26,6 +27,7 @@ from .errors import (
     DivisibilityViolation,
     LengthMismatch,
     MalformedInput,
+    PreconditionViolated,
 )
 from .gf import Field, field_new
 
@@ -48,7 +50,7 @@ class LdpcEnsembleParams:
     def __post_init__(self):
         if not (0 < self.rate < 1):
             raise BadRate(f"rate must be in (0,1), got {self.rate}")
-        if self.n % self.s != 0:
+        if self.s < 1 or self.n % self.s != 0:
             raise DivisibilityViolation(f"s={self.s} does not divide n={self.n}")
         t = (1 - self.rate) * self.s
         if t.denominator != 1 or t <= 0:
@@ -204,14 +206,14 @@ def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
 
 
 def _codeword_chunks(code: LinearCode, chunk: int = 1 << 16):
-    """Yield (message indices, codewords as rows) over all q^k messages."""
+    """Yield (first message index, codewords as rows) over all q^k messages."""
     k = _check_enum_guard(code)
     q = code.field.q
     total = q ** k
     gen_t = code.generator.T
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        yield idx, linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
+        yield start, linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
 
 
 def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
@@ -221,14 +223,15 @@ def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.n
 
 
 def _codeword_weights(code: LinearCode, chunk: int = 1 << 16):
-    """Yield (message index array, weight array) over all codewords."""
+    """Yield (message index of the first weight, weights) over the nonzero
+    codewords, in message order; message 0 is the zero codeword."""
     if code.field.q == 2 and code.n <= 64:
         _check_enum_guard(code)
-        cws = _codeword_bitmasks(code)
-        yield np.arange(cws.size), np.bitwise_count(cws)
+        yield 1, np.bitwise_count(_codeword_bitmasks(code)[1:])
         return
-    for idx, cws in _codeword_chunks(code, chunk):
-        yield idx, np.count_nonzero(cws, axis=1)
+    for start, cws in _codeword_chunks(code, chunk):
+        w = np.count_nonzero(cws, axis=1)
+        yield (1, w[1:]) if start == 0 else (start, w)
 
 
 def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
@@ -236,115 +239,88 @@ def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
     if code.dimension == 0:
         return 1.0, np.zeros(code.n, dtype=np.int64)
     best_w, best_idx = code.n + 1, 0
-    for idx, w in _codeword_weights(code):
-        nz = idx != 0
-        if np.any(nz):
-            j = int(np.argmin(np.where(nz, w, code.n + 1)))
-            if w[j] < best_w and idx[j] != 0:
-                best_w, best_idx = int(w[j]), int(idx[j])
+    for start, w in _codeword_weights(code):
+        if w.size:
+            j = int(np.argmin(w))
+            if w[j] < best_w:
+                best_w, best_idx = int(w[j]), start + j
     msg = linalg.index_vector(best_idx, code.dimension, code.field.q)
     return best_w / code.n, linalg.matmul(code.field, code.generator, msg)
 
 
 def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
-    """Exhaustively check for a codeword of exact Hamming weight."""
-    for idx, w in _codeword_weights(code):
-        hits = (w == weight) & (idx != 0)
-        if np.any(hits):
-            return True
-    return False
-
-
-def list_size_at(code: LinearCode, center: np.ndarray, alpha: float) -> int:
-    """Exact count of codewords within relative distance alpha of center."""
-    center = np.asarray(center, dtype=np.int64)
-    if center.shape != (code.n,):
-        raise LengthMismatch(f"center length {center.shape} vs n={code.n}")
-    _check_enum_guard(code)
-    radius = int(np.floor(alpha * code.n + 1e-9))
-    if code.field.q == 2 and code.n <= 64:
-        cws = _codeword_bitmasks(code)
-        c = np.uint64(linalg.vector_index(center, 2))
-        return int(np.count_nonzero(np.bitwise_count(cws ^ c) <= radius))
-    count = 0
-    for cw in enumerate_codewords(code):
-        if np.count_nonzero(cw != center) <= radius:
-            count += 1
-    return count
+    """Exhaustively check for a nonzero codeword of exact Hamming weight."""
+    return any(np.any(w == weight) for _, w in _codeword_weights(code))
 
 
 @dataclass
 class ListSizeResult:
     max_list_size: int
     worst_center: np.ndarray
-    exhaustive: bool
 
 
-def _ball_difference_indices(fld: Field, n: int, radius: int) -> np.ndarray:
-    """Indices of all vectors of weight <= radius in F_q^n."""
-    from itertools import combinations, product
+def _ball_vectors(comb: np.ndarray, q: int, w: int, ranks: np.ndarray):
+    """Positions and units of the weight-w ball vectors with these ranks.
 
-    q = fld.q
-    out = [0]
-    for w in range(1, radius + 1):
-        for pos in combinations(range(n), w):
-            for vals in product(range(1, q), repeat=w):
-                idx = 0
-                for p_, v_ in zip(pos, vals):
-                    idx += v_ * q ** p_
-                out.append(idx)
-    return np.array(out, dtype=np.int64)
-
-
-def max_list_size(
-    code: LinearCode,
-    alpha: float,
-    center_budget: Optional[int] = None,
-    seed: int = 0,
-) -> ListSizeResult:
-    """Max codeword count over Hamming balls of relative radius alpha.
-
-    Exhaustive over all q^n centers when q^n <= 2^24; otherwise a
-    center-sampling budget must be supplied and the result is a lower
-    bound (exhaustive=False).
+    Rank i takes unit tuple i % (q-1)^w (digits 1..q-1 in `index_vector`
+    order) on position combination i // (q-1)^w, the combinations in
+    colexicographic order.  A combination is decoded by the combinatorial
+    number system: its largest position c is the largest with
+    C(c, w) <= rank, and so on down; `comb[c, j]` is C(c, j).
     """
-    q = code.field.q
-    radius = int(np.floor(alpha * code.n + 1e-9))
-    if q ** code.n <= ENUM_GUARD:
-        _check_enum_guard(code)
-        counts = np.zeros(q ** code.n, dtype=np.int64)
-        diffs = _ball_difference_indices(code.field, code.n, radius)
-        if q == 2:
-            cw_idx = np.array(
-                [linalg.vector_index(cw, 2) for cw in enumerate_codewords(code)],
-                dtype=np.int64,
-            )
-            for d in diffs:
-                np.add.at(counts, cw_idx ^ d, 1)
-        else:
-            diff_vecs = linalg.index_vector(diffs, code.n, q)
-            powers = q ** np.arange(code.n, dtype=np.int64)
-            for cw in enumerate_codewords(code):
-                centers = code.field.add(cw[None, :], diff_vecs)
-                np.add.at(counts, centers @ powers, 1)
-        worst = int(np.argmax(counts))
-        return ListSizeResult(
-            int(counts[worst]),
-            linalg.index_vector(worst, code.n, q),
-            exhaustive=True,
-        )
-    if center_budget is None:
-        raise CodeTooLarge(
-            f"q^n = {q}^{code.n} exceeds {ENUM_GUARD}; supply a center budget"
-        )
-    rng = make_rng(seed)
-    best, best_center = -1, None
-    for _ in range(center_budget):
-        center = rng.integers(0, q, size=code.n).astype(np.int64)
-        l_ = list_size_at(code, center, alpha)
-        if l_ > best:
-            best, best_center = l_, center
-    return ListSizeResult(best, best_center, exhaustive=False)
+    rest, unit = np.divmod(ranks, (q - 1) ** w)
+    positions = np.empty((ranks.size, w), dtype=np.int64)
+    for j in range(w, 0, -1):
+        c = np.searchsorted(comb[:, j], rest, side="right") - 1
+        positions[:, j - 1] = c
+        rest = rest - comb[c, j]
+    return positions, linalg.index_vector(unit, w, q - 1) + 1
+
+
+def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
+    """Exact max codeword count over Hamming balls of relative radius alpha.
+
+    The list at a center x holds the codewords c with e = x - c in
+    Ball(0, r), and then He = Hx; so it has as many codewords as the ball
+    has vectors e with syndrome Hx.  The worst list size is the largest
+    number of ball vectors sharing one syndrome, and any of those vectors
+    is a worst center.  The ball is walked by weight, then position
+    combination, then unit tuple, about 2^16 vectors at a time; each
+    syndrome is a field sum of w scaled columns of H, packed into bytes as
+    bit planes, and one `np.unique` counts them.  The worst center returned
+    is the first ball vector in walk order with a most frequent syndrome.
+    """
+    if not 0 <= alpha <= 1:
+        raise PreconditionViolated(f"alpha must lie in [0, 1], got {alpha}")
+    fld, n, chunk = code.field, code.n, 1 << 16
+    q = fld.q
+    radius = int(np.floor(alpha * n + 1e-9))
+    sizes = [math.comb(n, w) * (q - 1) ** w for w in range(radius + 1)]
+    if sum(sizes) > ENUM_GUARD:
+        raise CodeTooLarge(f"the radius-{radius} ball has {sum(sizes)} vectors, "
+                           f"more than {ENUM_GUARD}")
+    comb = np.array([[math.comb(c, j) for j in range(radius + 1)] for c in range(n)],
+                    dtype=np.int64)
+    ht = code.h.T
+    planes = range((q - 1).bit_length())
+    keys = []
+    for w, size in enumerate(sizes):
+        for start in range(0, size, chunk):
+            ranks = np.arange(start, min(start + chunk, size))
+            positions, units = _ball_vectors(comb, q, w, ranks)
+            syn = np.zeros((ranks.size, ht.shape[1]), dtype=np.int64)
+            for j in range(w):
+                syn = fld.add(syn, fld.mul(ht[positions[:, j]], units[:, j, None]))
+            keys.append(np.packbits(np.hstack([(syn >> b) & 1 for b in planes]), axis=1))
+    _, first, counts = np.unique(np.concatenate(keys), axis=0,
+                                 return_index=True, return_counts=True)
+    worst = int(first[counts == counts.max()].min())
+    offsets = np.cumsum(sizes)
+    w = int(np.searchsorted(offsets, worst, side="right"))
+    positions, units = _ball_vectors(comb, q, w, np.array([worst - offsets[w] + sizes[w]]))
+    center = np.zeros(n, dtype=np.int64)
+    center[positions[0]] = units[0]
+    return ListSizeResult(int(counts.max()), center)
 
 
 # ---------------------------------------------------------------------------

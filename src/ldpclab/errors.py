@@ -80,6 +80,10 @@ class SupportTooLarge(ResourceGuardError):
     pass
 
 
+class SearchBudgetExhausted(ResourceGuardError):
+    pass
+
+
 # --- fourier ---
 
 class TableTooLarge(ResourceGuardError):

@@ -12,7 +12,6 @@ construction.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,39 +305,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.h))
-
-
-@dataclass(frozen=True)
-class FqElement:
-    """A single field element; convenience wrapper for scalar work."""
-
-    field: Field
-    value: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FqElement):
-            if other.field != self.field:
-                raise PreconditionError("elements from different fields")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return FqElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FqElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FqElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FqElement":
-        return FqElement(self.field, self.field.inv(self.value))
-
-    def trace(self) -> int:
-        return self.field.trace(self.value)
 
 
 _field_cache: dict[tuple[int, int], Field] = {}

@@ -23,6 +23,7 @@ from .errors import (
     MalformedInput,
     NotInLtau,
     PreconditionViolated,
+    SearchBudgetExhausted,
     SupportTooLarge,
     TooManyDualVectors,
 )
@@ -269,16 +270,6 @@ def prob_rlc_contains(tau: RowDistribution, n: int, rate) -> ContainmentEstimate
     return ContainmentEstimate(mcount, log_expected, expected, min(1.0, expected))
 
 
-def orbit_size_bounds(tau: RowDistribution, n: int) -> tuple[float, int, float]:
-    """(lower, |M_{n,tau}|, upper) of the orbit-count sandwich, in counts."""
-    est = prob_rlc_contains(tau, n, Fraction(1, 2))  # rate irrelevant here
-    q = tau.field.q
-    h = float(entropy_q(tau))
-    upper = q ** (h * n)
-    lower = upper / math.comb(n + q ** tau.ell - 1, q ** tau.ell - 1)
-    return lower, est.matrix_count, upper
-
-
 # ---------------------------------------------------------------------------
 # Bad-list search for the list-decoding property
 
@@ -410,5 +401,6 @@ def listdec_threshold_search(
         if best_r is None or r < best_r:
             best_tau, best_r = cand, r
     if best_tau is None:
-        raise ValueError("no bad-list distribution found within the budget")
+        raise SearchBudgetExhausted(
+            f"no bad-list distribution found in {iterations} iterations")
     return best_tau, best_r

@@ -223,3 +223,44 @@ def test_threshold_empirical_at_default_n(tmp_path):
     rates = [Fraction(*row["rate"]) for row in sweep]
     assert len(rates) == 12 and max(rates) == Fraction(1, 2)
     assert all(2 ** (r * 48) <= ensembles.ENUM_GUARD for r in rates)
+
+
+def test_listdecode_past_center_enumeration(tmp_path):
+    # q^n = 2^28 centers; the radius-2 balls hold 407 vectors each
+    out = tmp_path / "ld.json"
+    assert run(["listdecode", "--field", "2", "--n", "28", "--s", "4",
+                "--alpha", "0.1", "--trials", "2", "--seed", "0",
+                "--out", str(out)]) == 0
+    rates = [Fraction(*row["rate"]) for row in json.loads(out.read_text())["rate_scan"]]
+    assert rates == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["listdecode", "--field", "2", "--n", "8", "--s", "4", "--alpha", "nan"], "--alpha"),
+    (["listdecode", "--field", "2", "--n", "8", "--s", "4", "--alpha", "-0.1"], "--alpha"),
+    (["listdecode", "--field", "2", "--n", "8", "--s", "4", "--alpha", "1.5"], "--alpha"),
+    (["listdecode", "--field", "2", "--n", "8", "--s", "4", "--alpha", "0.25",
+      "--trials", "0"], "--trials"),
+    (["listdecode", "--field", "2", "--n", "0", "--s", "4", "--alpha", "0.25"], "--n"),
+    (["listdecode", "--field", "2", "--n", "8", "--s", "0", "--alpha", "0.25"], "--s"),
+    (["sample", "--field", "2", "--n", "-4", "--rate", "1/2"], "--n"),
+    (["threshold", "--tau", "tau.json", "--empirical", "--trials", "0"], "--trials"),
+    (["ldpc-contain", "--matrix", "m.json", "--s", "0", "--rate", "1/3"], "--s"),
+    (["ldpc-contain", "--matrix", "m.json", "--s", "3", "--rate", "1/3",
+      "--trials", "-5"], "--trials"),
+], ids=["alpha-nan", "alpha-negative", "alpha-above-1", "listdecode-trials-0",
+        "listdecode-n-0", "listdecode-s-0", "sample-n-negative", "threshold-trials-0",
+        "ldpc-contain-s-0", "ldpc-contain-trials-negative"])
+def test_bad_numeric_input(argv, flag):
+    # argument checks run before any file is opened
+    code, err = run_process(argv + ["--seed", "0"])
+    assert code == 2, err
+    assert "Traceback" not in err and flag in err
+
+
+def test_listdecode_search_budget_exhausted():
+    # at alpha = 0 no two distinct columns share a center
+    code, err = run_process(["listdecode", "--field", "2", "--n", "8", "--s", "4",
+                             "--alpha", "0", "--trials", "1", "--seed", "2"])
+    assert code == 3, err
+    assert "Traceback" not in err and "resource guard" in err

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from ldpclab.errors import (
     DivisibilityViolation,
     LengthMismatch,
     MalformedInput,
+    PreconditionViolated,
 )
 from ldpclab.gf import field_new
 
@@ -27,6 +29,8 @@ def test_params_validation():
         ensembles.LdpcEnsembleParams(F2, 13, 3, Fraction(1, 3))
     with pytest.raises(DivisibilityViolation):
         ensembles.LdpcEnsembleParams(F2, 12, 4, Fraction(1, 3))  # t = 8/3
+    with pytest.raises(DivisibilityViolation):
+        ensembles.LdpcEnsembleParams(F2, 12, 0, Fraction(1, 3))
     p = ensembles.LdpcEnsembleParams(F2, 12, 3, Fraction(1, 3))
     assert p.t == 2 and p.checks_per_layer == 4
 
@@ -138,24 +142,87 @@ def test_has_codeword_of_weight():
         assert ensembles.has_codeword_of_weight(code, w) == (w in present and w > 0)
 
 
+@pytest.mark.parametrize("fld,n", [(F3, 9), (field_new(2, 2), 6), (F2, 70)])
+def test_nonzero_weights_match_enumeration(fld, n):
+    # the generic chunked path (q > 2 or n > 64) must skip message 0 too
+    code = ensembles.sample_rlc(n, Fraction(1, 3) if n < 70 else Fraction(1, 7), fld, 4)
+    weights = [int(np.count_nonzero(cw)) for cw in ensembles.enumerate_codewords(code)][1:]
+    d, witness = ensembles.min_distance(code)
+    assert round(d * n) == min(weights) and np.count_nonzero(witness) == min(weights)
+    assert ensembles.contains(code, witness)
+    for w in range(n + 1):
+        assert ensembles.has_codeword_of_weight(code, w) == (w in weights)
+
+
 def test_enum_guard():
     code = ensembles.LinearCode(F2, np.zeros((1, 30), dtype=np.int64), 0, Fraction(1, 2), 0)
     with pytest.raises(CodeTooLarge):
         ensembles.min_distance(code)
 
 
-@pytest.mark.parametrize("fld,n,rate", [(F2, 8, Fraction(1, 4)), (F3, 6, Fraction(1, 3))])
-def test_max_list_size_matches_per_center_scan(fld, n, rate):
-    code = ensembles.sample_rlc(n, rate, fld, 3)
-    alpha = 1 / n
+def list_size_at(code, center, alpha):
+    """Per-center oracle: the codewords within relative distance alpha of
+    `center` (one vector, or one center per row), counted by enumeration."""
+    radius = int(np.floor(alpha * code.n + 1e-9))
+    cws = np.array(list(ensembles.enumerate_codewords(code)), dtype=np.int64)
+    far = np.count_nonzero(np.asarray(center)[..., None, :] != cws.reshape(-1, code.n),
+                           axis=-1)
+    return np.count_nonzero(far <= radius, axis=-1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_max_list_size_matches_per_center_scan(q, data):
+    fld = field_new(*{2: (2,), 3: (3,), 4: (2, 2), 5: (5,)}[q])
+    n = data.draw(st.integers(1, 8 if q < 4 else 5), label="n")
+    m = data.draw(st.integers(0, n), label="rows")
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n))
+    h = np.array(entries, dtype=np.int64).reshape(m, n)
+    if m and data.draw(st.booleans(), label="duplicate rows"):
+        h = h[data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    code = ensembles.LinearCode(fld, h, 0, Fraction(1, 2), 0)
+    radius = data.draw(st.integers(0, n + 1), label="radius")
+    alpha = radius / n
+    if radius > n:
+        with pytest.raises(PreconditionViolated):
+            ensembles.max_list_size(code, alpha)
+        return
     res = ensembles.max_list_size(code, alpha)
-    assert res.exhaustive
-    best = max(
-        ensembles.list_size_at(code, linalg.index_vector(i, n, fld.q), alpha)
-        for i in range(fld.q ** n)
-    )
+    centers = linalg.all_vectors(n, q)
+    best = max(int(list_size_at(code, centers[i:i + 256], alpha).max())
+               for i in range(0, len(centers), 256))
     assert res.max_list_size == best
-    assert ensembles.list_size_at(code, res.worst_center, alpha) == best
+    assert list_size_at(code, res.worst_center, alpha) == best
+
+
+def test_max_list_size_without_checks_counts_the_ball():
+    # every center's list is its whole ball; the first ball vector is 0
+    code = ensembles.LinearCode(F3, np.zeros((0, 6), dtype=np.int64), 0, Fraction(1, 2), 0)
+    res = ensembles.max_list_size(code, 2 / 6)
+    assert res.max_list_size == 1 + 6 * 2 + 15 * 4
+    assert not res.worst_center.any()
+
+
+def test_max_list_size_beyond_center_enumeration():
+    # q^n = 2^32 centers, but the radius-4 ball holds 41449 vectors
+    code = ensembles.sample_rlc(32, Fraction(1, 2), F2, 1)
+    alpha = 4 / 32
+    res = ensembles.max_list_size(code, alpha)
+    assert list_size_at(code, res.worst_center, alpha) == res.max_list_size
+    centers = np.random.default_rng(20).integers(0, 2, size=(20, 32))
+    assert res.max_list_size >= list_size_at(code, centers, alpha).max()
+
+
+def test_max_list_size_ball_guard():
+    # the radius-6 ball in F_2^60 holds 5.6e7 vectors: refused before any work
+    code = ensembles.sample_rlc(60, Fraction(1, 2), F2, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(CodeTooLarge):
+        ensembles.max_list_size(code, 6 / 60)
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(PreconditionViolated):
+        ensembles.max_list_size(code, float("nan"))
 
 
 def test_list_size_at_zero_center_counts_ball_codewords():
@@ -164,7 +231,7 @@ def test_list_size_at_zero_center_counts_ball_codewords():
     by_enum = sum(
         1 for cw in ensembles.enumerate_codewords(code) if np.count_nonzero(cw) <= 3
     )
-    assert ensembles.list_size_at(code, np.zeros(10, dtype=np.int64), alpha) == by_enum
+    assert list_size_at(code, np.zeros(10, dtype=np.int64), alpha) == by_enum
 
 
 def test_mc_contains_trivial_cases():

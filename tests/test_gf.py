@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ldpclab.errors import FieldTooLarge, NonPrime, PreconditionError
-from ldpclab.gf import Field, FqElement, field_new
+from ldpclab.gf import Field, field_new
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2)]
 
@@ -94,19 +94,6 @@ def test_dot_and_elements():
     assert f.dot([1, 0, 1], [1, 1, 1]) == 0
     assert f.dot([1, 0, 1], [1, 1, 0]) == 1
     assert list(f.units()) == [1]
-
-
-def test_fq_element_wrapper():
-    f = field_new(5)
-    a = FqElement(f, 3)
-    b = FqElement(f, 4)
-    assert (a + b).value == 2
-    assert (a * b).value == 2
-    assert (a - b).value == 4
-    assert (-a).value == 2
-    assert a.inverse().value == 2
-    with pytest.raises(PreconditionError):
-        _ = a + FqElement(field_new(7), 1)
 
 
 def test_field_cache_identity():

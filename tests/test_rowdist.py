@@ -170,12 +170,6 @@ def test_prob_rlc_contains():
     assert est0.matrix_count == 1 and est0.union_bound == 1.0
 
 
-def test_orbit_sandwich_spot():
-    tau = four_point_tau()
-    lo, mid, hi = rowdist.orbit_size_bounds(tau, 12)
-    assert lo <= mid <= hi
-
-
 def test_is_bad_list():
     tau = rowdist.RowDistribution.from_dict(
         F2, 2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
