@@ -185,6 +185,15 @@ def _check_enum_guard(code: LinearCode) -> int:
     return k
 
 
+def _pack_gf2(m: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as little-endian uint64 words, at least one per
+    row; bit i of word j is column 64*j + i, as in `vector_index`."""
+    packed = np.packbits(m.astype(np.uint8), axis=1, bitorder="little")
+    words = np.zeros((m.shape[0], 8 * max(1, -(-m.shape[1] // 64))), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8")
+
+
 def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
     """All codewords of a binary code with n <= 64, as uint64 bitmasks.
 
@@ -194,10 +203,7 @@ def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
     """
     assert code.field.q == 2 and code.n <= 64
     k = code.dimension
-    packed = np.packbits(code.generator.T.astype(np.uint8), axis=1, bitorder="little")
-    words = np.zeros((k, 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    gens = words.view("<u8")[:, 0]
+    gens = _pack_gf2(code.generator.T)[:, 0]
     cws = np.empty(1 << k, dtype=np.uint64)
     cws[0] = 0
     for j in range(k):
@@ -206,51 +212,201 @@ def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
 
 
 def _codeword_chunks(code: LinearCode, chunk: int = 1 << 16):
-    """Yield (first message index, codewords as rows) over all q^k messages."""
+    """Yield all q^k codewords in message order, as blocks of rows."""
     k = _check_enum_guard(code)
     q = code.field.q
     total = q ** k
     gen_t = code.generator.T
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        yield start, linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
+        yield linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
 
 
 def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
     """Yield all q^k codewords in message order."""
-    for _, cws in _codeword_chunks(code, chunk):
+    for cws in _codeword_chunks(code, chunk):
         yield from cws
 
 
 def _codeword_weights(code: LinearCode, chunk: int = 1 << 16):
-    """Yield (message index of the first weight, weights) over the nonzero
-    codewords, in message order; message 0 is the zero codeword."""
+    """Yield the weights of the nonzero codewords in message order, in
+    blocks; message 0 is the zero codeword."""
     if code.field.q == 2 and code.n <= 64:
         _check_enum_guard(code)
-        yield 1, np.bitwise_count(_codeword_bitmasks(code)[1:])
+        yield np.bitwise_count(_codeword_bitmasks(code)[1:])
         return
-    for start, cws in _codeword_chunks(code, chunk):
+    for i, cws in enumerate(_codeword_chunks(code, chunk)):
         w = np.count_nonzero(cws, axis=1)
-        yield (1, w[1:]) if start == 0 else (start, w)
-
-
-def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
-    """Minimum relative weight of a nonzero codeword, with a witness."""
-    if code.dimension == 0:
-        return 1.0, np.zeros(code.n, dtype=np.int64)
-    best_w, best_idx = code.n + 1, 0
-    for start, w in _codeword_weights(code):
-        if w.size:
-            j = int(np.argmin(w))
-            if w[j] < best_w:
-                best_w, best_idx = int(w[j]), start + j
-    msg = linalg.index_vector(best_idx, code.dimension, code.field.q)
-    return best_w / code.n, linalg.matmul(code.field, code.generator, msg)
+        yield w if i else w[1:]
 
 
 def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
     """Exhaustively check for a nonzero codeword of exact Hamming weight."""
-    return any(np.any(w == weight) for _, w in _codeword_weights(code))
+    return any(np.any(w == weight) for w in _codeword_weights(code))
+
+
+# ---------------------------------------------------------------------------
+# Sums of w selected rows, one weight from the last: the kernel of
+# `min_distance` (rows of a systematic generator) and of `max_list_size`
+# (columns of H)
+
+
+def _ball_vector(n: int, q: int, w: int, rank: int) -> np.ndarray:
+    """The weight-w vector of F_q^n with this rank, the order in which
+    `_level_sums` walks them.
+
+    Rank i takes unit tuple i % (q-1)^w (digits 1..q-1 in `index_vector`
+    order, the first on the smallest position) on position combination
+    i // (q-1)^w, the combinations in colexicographic order.  A
+    combination is decoded by the combinatorial number system: its
+    largest position c is the largest with C(c, w) <= rank, and so on down.
+    """
+    rest, unit = divmod(rank, (q - 1) ** w)
+    positions = []
+    for j in range(w, 0, -1):
+        c = j - 1
+        while math.comb(c + 1, j) <= rest:
+            c += 1
+        rest -= math.comb(c, j)
+        positions.insert(0, c)
+    v = np.zeros(n, dtype=np.int64)
+    v[positions] = linalg.index_vector(unit, w, q - 1) + 1
+    return v
+
+
+def _ball_size(n: int, q: int, w: int) -> int:
+    return math.comb(n, w) * (q - 1) ** w
+
+
+def _unit_multiples(fld: Field, m: np.ndarray) -> np.ndarray:
+    """Each unit multiple of each row of m, as (rows, q-1, row) in the form
+    `_level_sums` adds: over F_2 the row itself as `_pack_gf2` words."""
+    if fld.q == 2:
+        return _pack_gf2(m)[:, None, :]
+    return fld.mul(m[:, None, :], np.arange(1, fld.q)[None, :, None])
+
+
+def _zero_sum(multiples: np.ndarray) -> np.ndarray:
+    """The one weight-0 sum, the input of `_level_sums` at weight 1."""
+    return np.zeros((1,) + multiples.shape[2:], dtype=multiples.dtype)
+
+
+def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
+    """Yield, 2^16 rows at a time, the sum for each weight-w vector x of
+    F_q^rows in `_ball_vector` rank order: the x_c multiple of row c,
+    summed over the support of x.  `prev` holds the weight w-1 sums.
+
+    In colexicographic order the w-combinations with largest position c
+    follow those with a smaller one, and without c they are the first
+    C(c, w-1) (w-1)-combinations.  So rank (C(c, w) + r)(q-1)^w +
+    d (q-1)^(w-1) + u is row r (q-1)^(w-1) + u of `prev` plus the
+    multiple d+1 of row c: one gather and one add per vector.  Over F_2
+    the add is an XOR of packed words.
+    """
+    rows, units = multiples.shape[:2]
+    big, small = units ** w, units ** (w - 1)
+    comb = np.array([math.comb(c, w) for c in range(rows)], dtype=np.int64)
+    size = math.comb(rows, w) * big
+    add, chunk = (np.bitwise_xor if fld.q == 2 else fld.add), 1 << 16
+    for start in range(0, size, chunk):
+        top, u = np.divmod(np.arange(start, min(start + chunk, size)), big)
+        c = np.searchsorted(comb, top, side="right") - 1
+        d, u = np.divmod(u, small)
+        yield add(prev[(top - comb[c]) * small + u], multiples[c, d])
+
+
+def _weights(fld: Field, sums: np.ndarray) -> np.ndarray:
+    """Hamming weights of the rows `_level_sums` yields."""
+    if fld.q == 2:
+        return np.bitwise_count(sums).sum(axis=1, dtype=np.int64)
+    return np.count_nonzero(sums, axis=1)
+
+
+def _information_sets(fld: Field, g: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Systematic generators G_j of the k x n generator g, with ranks r_j.
+
+    Each round row-reduces g with the columns no earlier set covers placed
+    first; the r_j pivots that land there are new, the other k - r_j lie
+    in earlier sets, so the new parts of the sets are disjoint.  Rounds
+    stop when the uncovered columns have rank 0 (only zero coordinates are
+    left).  G_j is returned in the original column order.
+    """
+    covered = np.zeros(g.shape[1], dtype=bool)
+    sets = []
+    while True:
+        free = np.flatnonzero(~covered)
+        if not g[:, free].any():
+            return sets
+        order = np.concatenate([free, np.flatnonzero(covered)])
+        r, _, pivots = linalg.rref(fld, g[:, order])
+        new = [p for p in pivots if p < free.size]
+        gj = np.empty_like(r)
+        gj[:, order] = r
+        sets.append((gj, len(new)))
+        covered[order[new]] = True
+
+
+def _schedule(k: int, q: int, ranks: list[int]):
+    """Yield the Brouwer-Zimmermann steps (set j, message weight v, LB).
+
+    Weights w = 1, 2, ... are taken set by set.  A set joins at the first
+    w where it raises LB, and then brings all its weights <= w.  LB is the
+    lower bound on every codeword not yet seen once the step is done.
+    Before weight w starts, its messages are checked against ENUM_GUARD.
+    """
+    done = [0] * len(ranks)  # weight through which each set is enumerated
+    for w in range(1, k + 1):
+        steps = [(j, v) for j, r in enumerate(ranks) if w + 1 > k - r
+                 for v in range(done[j] + 1, w + 1)]
+        total = sum(_ball_size(k, q, v) for _, v in steps)
+        if total > ENUM_GUARD:
+            raise CodeTooLarge(f"weight {w} of {len(ranks)} information sets needs "
+                               f"{total} messages, more than {ENUM_GUARD}")
+        for j, v in steps:
+            done[j] = v
+            yield j, v, sum(max(0, d + 1 - (k - r)) for d, r in zip(done, ranks))
+
+
+def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
+    """Minimum relative weight of a nonzero codeword, with a witness.
+
+    Brouwer-Zimmermann enumeration.  Every nonzero codeword is m G_j for
+    each systematic generator G_j of `_information_sets`, where m is its
+    restriction to the k pivots of G_j.  Once every message of weight
+    <= w_j of each G_j is enumerated, a codeword not yet seen has more
+    than w_j nonzeros on the pivots of G_j, so at least w_j + 1 - (k - r_j)
+    on its r_j new ones; the new parts are disjoint, so the codeword
+    weighs at least LB = sum_j max(0, w_j + 1 - (k - r_j)).  `_schedule`
+    orders the steps; the search stops once the lightest codeword seen
+    weighs at most LB.  If it never does, the last step has enumerated
+    every message of G_1.  Each set keeps only the sums of one weight
+    below the step, rebuilt from the one before when a step needs them.
+    """
+    fld, n, k = code.field, code.n, code.dimension
+    if k == 0:
+        return 1.0, np.zeros(n, dtype=np.int64)
+    sets = _information_sets(fld, code.generator.T)
+    multiples = [_unit_multiples(fld, gj) for gj, _ in sets]
+    kept = [(0, _zero_sum(m)) for m in multiples]  # (weight, its sums) per set
+    best_w, best = n + 1, None
+    for j, v, bound in _schedule(k, fld.q, [r for _, r in sets]):
+        w, prev = kept[j]
+        while w < v - 1:
+            w += 1
+            prev = np.concatenate(list(_level_sums(fld, multiples[j], prev, w)))
+        kept[j] = (w, prev)
+        start = 0
+        for sums in _level_sums(fld, multiples[j], prev, v):
+            weights = _weights(fld, sums)
+            i = int(np.argmin(weights))
+            if weights[i] < best_w:
+                best_w, best = int(weights[i]), (j, v, start + i)
+            start += len(sums)
+        if best_w <= bound:
+            break
+    j, v, rank = best
+    msg = _ball_vector(k, fld.q, v, rank)
+    return best_w / n, linalg.matmul(fld, sets[j][0].T, msg)
 
 
 @dataclass
@@ -259,22 +415,13 @@ class ListSizeResult:
     worst_center: np.ndarray
 
 
-def _ball_vectors(comb: np.ndarray, q: int, w: int, ranks: np.ndarray):
-    """Positions and units of the weight-w ball vectors with these ranks.
-
-    Rank i takes unit tuple i % (q-1)^w (digits 1..q-1 in `index_vector`
-    order) on position combination i // (q-1)^w, the combinations in
-    colexicographic order.  A combination is decoded by the combinatorial
-    number system: its largest position c is the largest with
-    C(c, w) <= rank, and so on down; `comb[c, j]` is C(c, j).
-    """
-    rest, unit = np.divmod(ranks, (q - 1) ** w)
-    positions = np.empty((ranks.size, w), dtype=np.int64)
-    for j in range(w, 0, -1):
-        c = np.searchsorted(comb[:, j], rest, side="right") - 1
-        positions[:, j - 1] = c
-        rest = rest - comb[c, j]
-    return positions, linalg.index_vector(unit, w, q - 1) + 1
+def _syndrome_keys(fld: Field, syn: np.ndarray) -> np.ndarray:
+    """`_level_sums` syndromes as uint64 words, equal iff the syndromes
+    are: over F_2 the sums themselves, else their bit planes packed."""
+    if fld.q == 2:
+        return syn
+    planes = range((fld.q - 1).bit_length())
+    return _pack_gf2(np.hstack([(syn >> b) & 1 for b in planes]))
 
 
 def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
@@ -285,42 +432,47 @@ def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
     has vectors e with syndrome Hx.  The worst list size is the largest
     number of ball vectors sharing one syndrome, and any of those vectors
     is a worst center.  The ball is walked by weight, then position
-    combination, then unit tuple, about 2^16 vectors at a time; each
-    syndrome is a field sum of w scaled columns of H, packed into bytes as
-    bit planes, and one `np.unique` counts them.  The worst center returned
-    is the first ball vector in walk order with a most frequent syndrome.
+    combination, then unit tuple; each weight's syndromes come from the
+    last weight's by `_level_sums`, keyed as uint64 words, and one stable
+    sort counts them.  The worst center returned is the first ball vector
+    in walk order with a most frequent syndrome.
     """
     if not 0 <= alpha <= 1:
         raise PreconditionViolated(f"alpha must lie in [0, 1], got {alpha}")
-    fld, n, chunk = code.field, code.n, 1 << 16
-    q = fld.q
+    fld, n = code.field, code.n
     radius = int(np.floor(alpha * n + 1e-9))
-    sizes = [math.comb(n, w) * (q - 1) ** w for w in range(radius + 1)]
+    sizes = [_ball_size(n, fld.q, w) for w in range(radius + 1)]
     if sum(sizes) > ENUM_GUARD:
         raise CodeTooLarge(f"the radius-{radius} ball has {sum(sizes)} vectors, "
                            f"more than {ENUM_GUARD}")
-    comb = np.array([[math.comb(c, j) for j in range(radius + 1)] for c in range(n)],
-                    dtype=np.int64)
-    ht = code.h.T
-    planes = range((q - 1).bit_length())
-    keys = []
-    for w, size in enumerate(sizes):
-        for start in range(0, size, chunk):
-            ranks = np.arange(start, min(start + chunk, size))
-            positions, units = _ball_vectors(comb, q, w, ranks)
-            syn = np.zeros((ranks.size, ht.shape[1]), dtype=np.int64)
-            for j in range(w):
-                syn = fld.add(syn, fld.mul(ht[positions[:, j]], units[:, j, None]))
-            keys.append(np.packbits(np.hstack([(syn >> b) & 1 for b in planes]), axis=1))
-    _, first, counts = np.unique(np.concatenate(keys), axis=0,
-                                 return_index=True, return_counts=True)
-    worst = int(first[counts == counts.max()].min())
+    multiples = _unit_multiples(fld, code.h.T)
+    prev = _zero_sum(multiples)
+    keys = [_syndrome_keys(fld, prev)]
+    for w in range(1, radius + 1):
+        level = []
+        for syn in _level_sums(fld, multiples, prev, w):
+            keys.append(_syndrome_keys(fld, syn))
+            if w < radius:
+                level.append(syn)
+        prev = np.concatenate(level) if level else None
+    count, worst = _most_frequent(np.concatenate(keys))
     offsets = np.cumsum(sizes)
     w = int(np.searchsorted(offsets, worst, side="right"))
-    positions, units = _ball_vectors(comb, q, w, np.array([worst - offsets[w] + sizes[w]]))
-    center = np.zeros(n, dtype=np.int64)
-    center[positions[0]] = units[0]
-    return ListSizeResult(int(counts.max()), center)
+    return ListSizeResult(count, _ball_vector(n, fld.q, w, worst - int(offsets[w]) + sizes[w]))
+
+
+def _most_frequent(keys: np.ndarray) -> tuple[int, int]:
+    """The largest multiplicity of a row of `keys`, and the first row index
+    holding a row of that multiplicity.  A stable sort makes each run of
+    equal rows start at its smallest index."""
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    change = np.ones(len(keys), dtype=bool)
+    change[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    del keys  # free the sorted copy before the run arrays are built
+    starts = np.flatnonzero(change)
+    counts = np.diff(starts, append=len(change))
+    return int(counts.max()), int(order[starts[counts == counts.max()]].min())
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,18 @@ def test_distance_profile_empirical(tmp_path):
     assert sum(hist.values()) == 5
 
 
+def test_distance_profile_empirical_past_message_enumeration(tmp_path):
+    # n = 90 codes have q^k >= 2^30 messages, past what a brute force
+    # enumerates under the 2^24 guard
+    out = tmp_path / "emp.json"
+    argv = ["distance-profile", "--field", "2", "--n", "90", "--rate", "1/3",
+            "--delta", "0.05", "--eps", "0.1", "--s", "6", "--empirical",
+            "--trials", "2", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 0
+    hist = json.loads(out.read_text())["empirical_min_weight_histogram"]
+    assert sum(hist.values()) == 2
+
+
 def example_tau_file(tmp_path):
     tau = rowdist.RowDistribution.from_dict(F2, 3, {
         (1, 0, 0): Fraction(1, 4), (0, 1, 0): Fraction(1, 4),

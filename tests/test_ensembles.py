@@ -91,6 +91,28 @@ def test_generator_columns_are_codewords():
         ensembles.contains(code, np.zeros(14, dtype=np.int64))
 
 
+FIELDS = {2: F2, 3: F3, 4: field_new(2, 2), 5: field_new(5)}
+
+
+def min_distance_oracle(code):
+    """Brute-force reference for `min_distance`: the lightest nonzero
+    codeword over all q^k messages, the first in message order."""
+    if code.dimension == 0:
+        return 1.0, np.zeros(code.n, dtype=np.int64)
+    weights = np.concatenate(list(ensembles._codeword_weights(code)))
+    first = int(np.argmin(weights))
+    msg = linalg.index_vector(first + 1, code.dimension, code.field.q)
+    return int(weights[first]) / code.n, linalg.matmul(code.field, code.generator, msg)
+
+
+def assert_min_distance_matches_oracle(code):
+    d, witness = ensembles.min_distance(code)
+    assert d == min_distance_oracle(code)[0]
+    if code.dimension:
+        assert witness.any() and ensembles.contains(code, witness)
+        assert np.count_nonzero(witness) == round(d * code.n)
+
+
 def test_min_distance_known_code():
     # parity-check of the binary repetition code of length 3
     code = ensembles.LinearCode(F2, np.array([[1, 1, 0], [0, 1, 1]]), 0, Fraction(1, 3), 0)
@@ -100,7 +122,7 @@ def test_min_distance_known_code():
 
 
 def test_min_distance_bitmask_vs_generic():
-    # same code checked through the q=2 bitmask path and the generic path
+    # min_distance against a scan of every codeword on the generic path
     code = ensembles.sample_ldpc(
         ensembles.LdpcEnsembleParams(F2, 18, 3, Fraction(1, 3)), 7
     )
@@ -135,7 +157,7 @@ def test_has_codeword_of_weight():
     code = ensembles.sample_rlc(12, Fraction(1, 3), F2, 8)
     present = {
         int(w)
-        for _, ws in ensembles._codeword_weights(code)
+        for ws in ensembles._codeword_weights(code)
         for w in np.asarray(ws).ravel()
     }
     for w in range(13):
@@ -154,10 +176,77 @@ def test_nonzero_weights_match_enumeration(fld, n):
         assert ensembles.has_codeword_of_weight(code, w) == (w in weights)
 
 
-def test_enum_guard():
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_min_distance_matches_oracle(q, data):
+    # random H, possibly empty, with duplicated rows or forced zero
+    # coordinates (unit rows of H); q^k stays small enough for the oracle
+    fld = FIELDS[q]
+    n = data.draw(st.integers(1, {2: 12, 3: 8, 4: 6, 5: 6}[q]), label="n")
+    m = data.draw(st.integers(0, n), label="rows")
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n))
+    h = np.array(entries, dtype=np.int64).reshape(m, n)
+    if m and data.draw(st.booleans(), label="duplicate rows"):
+        h = h[data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    zeros = data.draw(st.lists(st.integers(0, n - 1), max_size=n), label="zero coordinates")
+    h = np.vstack([h, np.eye(n, dtype=np.int64)[zeros]])
+    assert_min_distance_matches_oracle(ensembles.LinearCode(fld, h, 0, Fraction(1, 2), 0))
+
+
+@pytest.mark.parametrize("n", [70, 130])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_min_distance_matches_oracle_multiword(n, data):
+    # binary codes of length 70 and 130 pack each generator row into 2 and
+    # 3 words; n - k random checks, with forced zero coordinates, keep
+    # k <= 12 or so
+    k = data.draw(st.integers(1, 10), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    h = rng.integers(0, 2, size=(n - k, n))
+    zeros = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="zero coordinates")
+    h = np.vstack([h, np.eye(n, dtype=np.int64)[zeros]])
+    assert_min_distance_matches_oracle(ensembles.LinearCode(F2, h, 0, Fraction(1, 2), 0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_min_distance_at_extreme_dimensions(q):
+    fld = FIELDS[q]
+    trivial = ensembles.LinearCode(fld, np.eye(5, dtype=np.int64), 0, Fraction(1, 2), 0)
+    d, witness = ensembles.min_distance(trivial)
+    assert trivial.dimension == 0 and d == 1.0 and not witness.any()
+    for h in (np.zeros((0, 5), dtype=np.int64), np.zeros((2, 5), dtype=np.int64)):
+        code = ensembles.LinearCode(fld, h, 0, Fraction(1, 2), 0)
+        assert code.dimension == 5
+        assert_min_distance_matches_oracle(code)
+
+
+def test_min_distance_past_message_enumeration():
+    # q^k = 2^30 messages: the brute force refused this code; the first
+    # information set alone gives d = 1 and the bound 2 stops the search
     code = ensembles.LinearCode(F2, np.zeros((1, 30), dtype=np.int64), 0, Fraction(1, 2), 0)
+    d, witness = ensembles.min_distance(code)
+    assert d == 1 / 30
+    assert np.count_nonzero(witness) == 1 and witness.max() == 1
+
+
+def test_enum_guard(monkeypatch):
+    # n = 200, k = 100: weights 1..4 of each information set fit the guard,
+    # weight 5 (about 1.5e8 messages) does not and is refused unenumerated
+    code = ensembles.sample_rlc(200, Fraction(1, 2), F2, 1)
+    enumerated = []
+    level_sums = ensembles._level_sums
+
+    def spy(fld, multiples, prev, w):
+        enumerated.append(w)
+        return level_sums(fld, multiples, prev, w)
+
+    monkeypatch.setattr(ensembles, "_level_sums", spy)
+    t0 = time.perf_counter()
     with pytest.raises(CodeTooLarge):
         ensembles.min_distance(code)
+    assert time.perf_counter() - t0 < 1
+    assert max(enumerated) == 4
 
 
 def list_size_at(code, center, alpha):
