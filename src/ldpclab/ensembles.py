@@ -301,9 +301,11 @@ def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
     C(c, w-1) (w-1)-combinations.  So rank (C(c, w) + r)(q-1)^w +
     d (q-1)^(w-1) + u is row r (q-1)^(w-1) + u of `prev` plus the
     multiple d+1 of row c: one gather and one add per vector.  Over F_2
-    the add is an XOR of packed words.
+    the add is an XOR of packed words.  The gathers use `np.take`, which
+    copies whole rows, not fancy indexing.
     """
     rows, units = multiples.shape[:2]
+    flat = multiples.reshape(rows * units, *multiples.shape[2:])
     big, small = units ** w, units ** (w - 1)
     comb = np.array([math.comb(c, w) for c in range(rows)], dtype=np.int64)
     size = math.comb(rows, w) * big
@@ -312,13 +314,15 @@ def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
         top, u = np.divmod(np.arange(start, min(start + chunk, size)), big)
         c = np.searchsorted(comb, top, side="right") - 1
         d, u = np.divmod(u, small)
-        yield add(prev[(top - comb[c]) * small + u], multiples[c, d])
+        yield add(np.take(prev, (top - comb[c]) * small + u, axis=0),
+                  np.take(flat, c * units + d, axis=0))
 
 
 def _weights(fld: Field, sums: np.ndarray) -> np.ndarray:
     """Hamming weights of the rows `_level_sums` yields."""
     if fld.q == 2:
-        return np.bitwise_count(sums).sum(axis=1, dtype=np.int64)
+        # a column sum per word: a reduction along the short axis is slower
+        return sum(np.bitwise_count(sums).T, np.zeros(len(sums), dtype=np.int64))
     return np.count_nonzero(sums, axis=1)
 
 

@@ -1,10 +1,12 @@
 """Harmonic analysis over F_q^ell and the layered-code containment bound.
 
-Transforms are direct sums against the additive characters chi_x(y) =
+The transform is taken against the additive characters chi_x(y) =
 omega_p^tr(<x,y>) with the expectation normalization: fhat(y) =
 E_x[f(x) conj(chi_x(y))], so a probability distribution has fhat(0) =
-q^(-ell).  Tables are dense complex arrays indexed by the base-q vector
-encoding (first coordinate least significant).
+q^(-ell).  It is one FFT over F_p^(h ell), read out through the trace
+form.  Tables are dense complex arrays indexed by the base-q vector
+encoding (first coordinate least significant).  The exact layer
+probability counts vanishing unit scalings per block as exact integers.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import numpy as np
 from . import gvdistance, linalg
 from .ensembles import LdpcEnsembleParams
 from .errors import (
+    DivisibilityViolation,
     EvenSparsity,
     LengthMismatch,
     NonRealResult,
     NotInLtau,
     NotSmooth,
     NotSmoothEnough,
+    PreconditionViolated,
     StateSpaceTooLarge,
     TableTooLarge,
 )
@@ -66,15 +70,6 @@ class ComplexDistribution:
         )
 
 
-def distribution_table(tau: RowDistribution) -> ComplexDistribution:
-    """tau as a dense complex table."""
-    out = ComplexDistribution.zeros(tau.field, tau.ell)
-    q = tau.field.q
-    for v, m in tau.masses:
-        out.values[linalg.vector_index(v, q)] += float(m)
-    return out
-
-
 def scalar_twist(tau: RowDistribution) -> ComplexDistribution:
     """Distribution of lambda*v for v ~ tau and lambda uniform in F_q^*."""
     fld = tau.field
@@ -87,31 +82,23 @@ def scalar_twist(tau: RowDistribution) -> ComplexDistribution:
     return out
 
 
-@lru_cache(maxsize=32)
-def _character_matrix(field: Field, ell: int) -> np.ndarray:
-    """chi[x, y] for all pairs of vector indices."""
-    size = _check_table(field, ell)
-    if size * size > 16 * TABLE_GUARD:
-        raise TableTooLarge(f"character matrix {size}x{size} too large")
-    vecs = linalg.all_vectors(ell, field.q)
-    tr = np.zeros((size, size), dtype=np.int64)
-    for i in range(ell):
-        tr = (tr + field.trace(field.mul(vecs[:, i][:, None], vecs[:, i][None, :]))) % field.p
-    return field._char_roots[tr]
-
-
 def fourier_transform(f: ComplexDistribution) -> ComplexDistribution:
-    """fhat(y) = E_x[f(x) conj(chi_x(y))], a direct O(q^(2l)) sum."""
-    chi = _character_matrix(f.field, f.ell)
-    size = f.values.shape[0]
-    coeffs = (f.values[None, :] @ np.conj(chi)).ravel() / size
-    return ComplexDistribution(f.field, f.ell, coeffs)
+    """fhat(y) = E_x[f(x) conj(chi_x(y))], one FFT over F_p^(h l).
 
-
-def inverse_transform(t: ComplexDistribution) -> ComplexDistribution:
-    """f(x) = sum_y fhat(y) chi_y(x)."""
-    chi = _character_matrix(t.field, t.ell)
-    return ComplexDistribution(t.field, t.ell, (t.values[None, :] @ chi).ravel())
+    The base-p digits of the vector encoding are coordinates over F_p, so
+    fftn over (p,)^(h l) in F-order gives sum_x f(x) omega_p^-<d(x), k> at
+    every digit vector k.  Per coordinate tr(x y) = <d(x), T d(y)> with the
+    trace form T[a, b] = tr(beta^a beta^b) on the basis beta^a (encoding
+    p^a), so fhat(y) is read at k = T d(y); for prime q, T = [[1]].
+    """
+    fld, ell = f.field, f.ell
+    size = _check_table(fld, ell)
+    spectrum = np.fft.fftn(f.values.reshape((fld.p,) * (fld.h * ell), order="F"))
+    # dual[y] encodes T d(y): digit a is tr(beta^a y)
+    powers = fld.p ** np.arange(fld.h)
+    dual = fld.trace(fld.mul(powers[:, None], np.arange(fld.q)[None, :])).T @ powers
+    at = dual[linalg.all_vectors(ell, fld.q)] @ fld.q ** np.arange(ell)
+    return ComplexDistribution(fld, ell, spectrum.ravel(order="F")[at] / size)
 
 
 def conv_power_at_zero(p: ComplexDistribution, s: int) -> float:
@@ -122,7 +109,7 @@ def conv_power_at_zero(p: ComplexDistribution, s: int) -> float:
     be scalar-twist symmetric, which forces the sum to be real.
     """
     if s < 1:
-        raise ValueError(f"s = {s} must be >= 1")
+        raise PreconditionViolated(f"s = {s} must be >= 1")
     coeffs = fourier_transform(p).values
     val = np.sum(coeffs ** s)
     if abs(val.imag) > IMAG_TOL:
@@ -227,14 +214,15 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     each by an independent uniform unit; a block vanishes iff its scaled
     rows sum to zero in F_q^l.  DP over blocks on the remaining row-type
     counts, with multivariate hypergeometric transition weights; the
-    within-block zero-sum probability comes from convolving the per-row
-    twisted tables.  For l = 1 only the nonzero count matters and the
-    weight DP `gvdistance.weight_layer_prob` applies, for any n.
+    within-block zero-sum probability is an exact count of vanishing unit
+    scalings, read off the transforms of the twisted rows.  For l = 1
+    only the nonzero count matters and the weight DP
+    `gvdistance.weight_layer_prob` applies, for any n.
     """
     fld = tau.field
     q = fld.q
     if n % s != 0:
-        raise ValueError(f"s = {s} does not divide n = {n}")
+        raise DivisibilityViolation(f"s = {s} does not divide n = {n}")
     counts = []
     for v, mass in tau.masses:
         c = mass * n
@@ -251,38 +239,23 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
         raise StateSpaceTooLarge(
             f"support {len(supp)}, n/s = {n // s} beyond the DP guard"
         )
-    size = _check_table(fld, tau.ell)
-    blocks = n // s
-
-    # dense zero-sum table per support vector: uniform over its unit multiples
-    twists = []
-    for v in supp:
-        tbl = np.zeros(size, dtype=np.float64)
-        va = np.array(v, dtype=np.int64)
-        for lam in fld.units():
-            tbl[linalg.vector_index(fld.mul(lam, va), q)] += 1 / (q - 1)
-        twists.append(tbl)
-
-    # group convolution table: index addition over F_q^l
-    vecs = linalg.all_vectors(tau.ell, q)
-    add_idx = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        summed = fld.add(vecs[i][None, :], vecs)
-        add_idx[i] = [linalg.vector_index(x, q) for x in summed]
-
-    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(size, dtype=np.float64)
-        np.add.at(out, add_idx, a[:, None] * b[None, :])
-        return out
+    _check_table(fld, tau.ell)
+    # each pattern of <v_i, y> = 0 over the support, with how many y have it
+    orth = linalg.matmul(fld, linalg.all_vectors(tau.ell, q), tau.support_matrix().T) == 0
+    rows, mult = np.unique(orth, axis=0, return_counts=True)
+    patterns = list(zip(mult.tolist(), rows.tolist()))
 
     @lru_cache(maxsize=None)
     def block_zero_prob(comp: tuple[int, ...]) -> float:
-        acc = np.zeros(size, dtype=np.float64)
-        acc[0] = 1.0
-        for tbl, k in zip(twists, comp):
-            for _ in range(k):
-                acc = convolve(acc, tbl)
-        return float(acc[0])
+        # The twist of a point mass at v has transform q^-l on y with
+        # <v, y> = 0 and -q^-l/(q-1) elsewhere, so a block holding k_i
+        # copies of v_i vanishes for q^-l sum_y prod_i c_i(y)^k_i of its
+        # (q-1)^s unit scalings, with c_i(y) = q-1 or -1 accordingly.
+        total = sum(
+            m * math.prod((q - 1 if o else -1) ** k for o, k in zip(row, comp))
+            for m, row in patterns
+        )
+        return total // q ** tau.ell / (q - 1) ** s
 
     def compositions(total: int, caps: tuple[int, ...]):
         if len(caps) == 1:

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -249,6 +250,25 @@ def test_enum_guard(monkeypatch):
     assert max(enumerated) == 4
 
 
+@pytest.mark.parametrize("q, rows, w", [(3, 16, 5), (4, 14, 4)])
+def test_level_sums_follow_rank_order_past_one_chunk(q, rows, w):
+    # C(rows, w) (q-1)^w sums span several 2^16-row chunks; at sampled
+    # ranks, chunk edges included, each is the combination of the rows of
+    # m that `_ball_vector` decodes from the rank
+    fld = field_new(*{3: (3,), 4: (2, 2)}[q])
+    rng = np.random.default_rng(q)
+    m = rng.integers(0, q, size=(rows, 7))
+    multiples = ensembles._unit_multiples(fld, m)
+    level = ensembles._zero_sum(multiples)
+    for v in range(1, w + 1):
+        level = np.concatenate(list(ensembles._level_sums(fld, multiples, level, v)))
+    assert len(level) == math.comb(rows, w) * (q - 1) ** w > 1 << 16
+    edges = [(1 << 16) - 1, 1 << 16, len(level) - 1]
+    for rank in rng.integers(0, len(level), 200).tolist() + edges:
+        x = ensembles._ball_vector(rows, q, w, rank)
+        assert np.array_equal(level[rank], linalg.matmul(fld, x, m)[0])
+
+
 def list_size_at(code, center, alpha):
     """Per-center oracle: the codewords within relative distance alpha of
     `center` (one vector, or one center per row), counted by enumeration."""
@@ -345,6 +365,22 @@ def test_layer_draws_are_permutations_and_units():
             assert perms.shape == scalars.shape == (50, 12)
             assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(12), (50, 1)))
             assert np.all((scalars >= 1) & (scalars < fld.q))
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.sampled_from([(24, 3, Fraction(1, 3)), (48, 12, Fraction(1, 6)),
+                              (60, 6, Fraction(1, 3)), (48, 6, Fraction(1, 2))]),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_binary_ldpc_dimension_exceeds_nominal(shape, seed):
+    # over F_2 the n/s checks of each layer sum to the all-ones row, so
+    # rank(H) <= t n/s - (t - 1); the dimension usually meets the bound
+    # with equality, but only the inequality is guaranteed
+    n, s, rate = shape
+    params = ensembles.LdpcEnsembleParams(F2, n, s, rate)
+    code = ensembles.sample_ldpc(params, seed)
+    for layer in code.h.reshape(params.t, params.checks_per_layer, n):
+        assert np.array_equal(layer.sum(axis=0), np.ones(n))
+    assert code.dimension >= rate * n + params.t - 1
 
 
 @pytest.mark.parametrize("fld", [F2, F3, field_new(2, 2)])

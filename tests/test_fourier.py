@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpclab import fourier, linalg
 from ldpclab.ensembles import LdpcEnsembleParams
 from ldpclab.errors import (
+    DivisibilityViolation,
     EvenSparsity,
     LengthMismatch,
     NonRealResult,
     NotSmooth,
     NotSmoothEnough,
+    PreconditionViolated,
     StateSpaceTooLarge,
 )
 from ldpclab.gf import field_new
@@ -33,10 +37,43 @@ def uniform_values(fld, ell):
     return np.full(size, 1 / size, dtype=np.complex128)
 
 
+def transform_oracle(f):
+    """fhat(y) = q^-l sum_x f(x) conj(chi_x(y)), a direct sum over the
+    dense character matrix built from Field.character."""
+    fld, ell = f.field, f.ell
+    vecs = linalg.all_vectors(ell, fld.q)
+    chi = np.ones((len(vecs), len(vecs)), dtype=np.complex128)
+    for i in range(ell):
+        chi *= fld.character(vecs[:, i][:, None], vecs[:, i][None, :])
+    return (f.values @ np.conj(chi)) / len(vecs)
+
+
+TRANSFORM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                    (2, 4), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p,h", TRANSFORM_FIELDS,
+                         ids=[f"F{p ** h}" for p, h in TRANSFORM_FIELDS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_transform_matches_oracle(p, h, data):
+    # F_4's trace form is [[0, 1], [1, 1]]: reading the FFT at d(y) instead
+    # of T d(y) fails here for every extension field
+    fld = field_new(p, h)
+    ell = data.draw(st.integers(1, int(math.log(256, fld.q) + 1e-9)), label="ell")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    size = fld.q ** ell
+    f = fourier.ComplexDistribution(
+        fld, ell, rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert np.allclose(fourier.fourier_transform(f).values, transform_oracle(f),
+                       rtol=0, atol=1e-12)
+
+
 def test_scalar_twist():
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     tw = fourier.scalar_twist(tau)
-    assert np.allclose(tw.values, fourier.distribution_table(tau).values)
+    assert np.allclose(tw.values, [0, 0.5, 0.5, 0])
     point = make_tau(F3, 1, {(1,): Fraction(1)})
     tw3 = fourier.scalar_twist(point)
     expect = np.zeros(3)
@@ -46,7 +83,9 @@ def test_scalar_twist():
 
 
 def test_transform_of_uniform_and_point_mass():
-    for fld, ell in [(F2, 3), (F3, 2), (F4, 1)]:
+    # F_2^14 and F_3^9 have q^l > 4000: a dense character matrix would
+    # hold more than 1.6e7 entries
+    for fld, ell in [(F2, 3), (F3, 2), (F4, 1), (F2, 14), (F3, 9)]:
         size = fld.q ** ell
         u = fourier.ComplexDistribution(fld, ell, uniform_values(fld, ell))
         coeffs = fourier.fourier_transform(u).values
@@ -67,15 +106,13 @@ def test_inversion_and_parseval(fld, ell):
         vals = rng.normal(size=size) + 1j * rng.normal(size=size)
         f = fourier.ComplexDistribution(fld, ell, vals)
         t = fourier.fourier_transform(f)
-        back = fourier.inverse_transform(t)
-        assert np.allclose(back.values, vals, atol=1e-10)
         lhs = np.sum(np.abs(t.values) ** 2)
         rhs = np.mean(np.abs(vals) ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_conv_power_at_zero_closed_forms():
-    for fld, ell, s in [(F2, 2, 3), (F3, 1, 4), (F4, 1, 5)]:
+    for fld, ell, s in [(F2, 2, 3), (F3, 1, 4), (F4, 1, 5), (F2, 14, 3), (F3, 9, 2)]:
         size = fld.q ** ell
         u = fourier.ComplexDistribution(fld, ell, uniform_values(fld, ell))
         assert fourier.conv_power_at_zero(u, s) == pytest.approx(size ** -s, abs=1e-14)
@@ -83,7 +120,7 @@ def test_conv_power_at_zero_closed_forms():
         point.values[0] = 1.0
         assert fourier.conv_power_at_zero(point, s) == pytest.approx(
             size ** (1 - s), abs=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         fourier.conv_power_at_zero(
             fourier.ComplexDistribution.zeros(F2, 1), 0)
 
@@ -211,6 +248,77 @@ def test_exact_layer_prob_oracle_by_partition_enumeration():
         total / count, abs=1e-10)
 
 
+def exact_layer_prob_oracle(tau, n, s):
+    """The layer probability by the same block DP, with each block's
+    zero-sum probability from repeated index-addition convolutions of the
+    twisted point masses."""
+    fld, ell, q = tau.field, tau.ell, tau.field.q
+    size = q ** ell
+    counts = [int(m * n) for _, m in tau.masses]
+    twists = []
+    for v in tau.support():
+        tbl = np.zeros(size)
+        for lam in fld.units():
+            tbl[linalg.vector_index(fld.mul(lam, np.array(v)), q)] += 1 / (q - 1)
+        twists.append(tbl)
+    vecs = linalg.all_vectors(ell, q)
+    add_idx = np.array([
+        [linalg.vector_index(x, q) for x in fld.add(vecs[i][None, :], vecs)]
+        for i in range(size)])
+
+    def block_zero_prob(comp):
+        acc = np.zeros(size)
+        acc[0] = 1.0
+        for tbl, k in zip(twists, comp):
+            for _ in range(k):
+                nxt = np.zeros(size)
+                np.add.at(nxt, add_idx, acc[:, None] * tbl[None, :])
+                acc = nxt
+        return float(acc[0])
+
+    def walk(rem):
+        if sum(rem) == 0:
+            return 1.0
+        total = 0.0
+        for comp in itertools.product(*(range(c + 1) for c in rem)):
+            if sum(comp) != s:
+                continue
+            weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
+            nxt = tuple(c - k for c, k in zip(rem, comp))
+            total += weight / math.comb(sum(rem), s) * block_zero_prob(comp) * walk(nxt)
+        return total
+
+    return walk(tuple(counts))
+
+
+LAYER_SHAPES = [
+    (fld, ell)
+    for fld in (F2, F3, F4, field_new(5), field_new(2, 3), field_new(3, 2))
+    for ell in (2, 3) if fld.q ** ell <= 130]
+
+
+@pytest.mark.parametrize("fld,ell", LAYER_SHAPES,
+                         ids=[f"F{fld.q}^{ell}" for fld, ell in LAYER_SHAPES])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_exact_layer_prob_matches_oracle(fld, ell, data):
+    n = data.draw(st.integers(1, 12), label="n")
+    s = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="s")
+    idx = data.draw(st.lists(st.integers(0, fld.q ** ell - 1), min_size=1,
+                             max_size=min(4, n), unique=True), label="support")
+    # a positive count per support vector, summing to n
+    cuts = sorted(data.draw(st.lists(st.integers(1, max(1, n - 1)), min_size=len(idx) - 1,
+                                     max_size=len(idx) - 1, unique=True), label="cuts"))
+    parts = np.diff([0, *cuts, n])
+    tau = make_tau(fld, ell, {
+        tuple(linalg.index_vector(i, ell, fld.q).tolist()): Fraction(int(c), n)
+        for i, c in zip(idx, parts)})
+    got = fourier.exact_layer_prob(tau, n, s)
+    want = exact_layer_prob_oracle(tau, n, s)
+    assert (got == 0) == (want == 0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_exact_layer_prob_guards():
     big = RowDistribution.from_dict(
         F2, 3,
@@ -218,7 +326,7 @@ def test_exact_layer_prob_guards():
     with pytest.raises(StateSpaceTooLarge):
         fourier.exact_layer_prob(big, 16, 2)
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(DivisibilityViolation):
         fourier.exact_layer_prob(tau, 10, 3)
 
 
