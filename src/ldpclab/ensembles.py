@@ -1,4 +1,4 @@
-"""Random linear and random s-LDPC code samplers with brute-force analytics.
+"""Random linear and random s-LDPC code samplers, and exact weight analytics.
 
 The LDPC ensemble stacks t = (1-R)*s independent layers; each layer
 partitions the n coordinates into n/s parity checks via a uniform
@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -178,11 +178,10 @@ def contains(code: LinearCode, v: np.ndarray) -> bool:
     return not np.any(linalg.matmul(code.field, code.h, v))
 
 
-def _check_enum_guard(code: LinearCode) -> int:
-    k = code.dimension
-    if code.field.q ** k > ENUM_GUARD:
-        raise CodeTooLarge(f"q^k = {code.field.q}^{k} exceeds {ENUM_GUARD}")
-    return k
+# ---------------------------------------------------------------------------
+# Sums of w selected rows, one weight from the last: the kernel of
+# `min_distance` (rows of a systematic generator), `has_codeword_of_weight`
+# (rows of the generator) and `max_list_size` (columns of H)
 
 
 def _pack_gf2(m: np.ndarray) -> np.ndarray:
@@ -192,63 +191,6 @@ def _pack_gf2(m: np.ndarray) -> np.ndarray:
     words = np.zeros((m.shape[0], 8 * max(1, -(-m.shape[1] // 64))), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
     return words.view("<u8")
-
-
-def _codeword_bitmasks(code: LinearCode) -> np.ndarray:
-    """All codewords of a binary code with n <= 64, as uint64 bitmasks.
-
-    Codeword for message index m is the XOR of the generators selected by
-    the bits of m; built by doubling in place so index order matches
-    message order.  Bit i of a mask is coordinate i, as in `vector_index`.
-    """
-    assert code.field.q == 2 and code.n <= 64
-    k = code.dimension
-    gens = _pack_gf2(code.generator.T)[:, 0]
-    cws = np.empty(1 << k, dtype=np.uint64)
-    cws[0] = 0
-    for j in range(k):
-        np.bitwise_xor(cws[:1 << j], gens[j], out=cws[1 << j:2 << j])
-    return cws
-
-
-def _codeword_chunks(code: LinearCode, chunk: int = 1 << 16):
-    """Yield all q^k codewords in message order, as blocks of rows."""
-    k = _check_enum_guard(code)
-    q = code.field.q
-    total = q ** k
-    gen_t = code.generator.T
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        yield linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
-
-
-def enumerate_codewords(code: LinearCode, chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield all q^k codewords in message order."""
-    for cws in _codeword_chunks(code, chunk):
-        yield from cws
-
-
-def _codeword_weights(code: LinearCode, chunk: int = 1 << 16):
-    """Yield the weights of the nonzero codewords in message order, in
-    blocks; message 0 is the zero codeword."""
-    if code.field.q == 2 and code.n <= 64:
-        _check_enum_guard(code)
-        yield np.bitwise_count(_codeword_bitmasks(code)[1:])
-        return
-    for i, cws in enumerate(_codeword_chunks(code, chunk)):
-        w = np.count_nonzero(cws, axis=1)
-        yield w if i else w[1:]
-
-
-def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
-    """Exhaustively check for a nonzero codeword of exact Hamming weight."""
-    return any(np.any(w == weight) for w in _codeword_weights(code))
-
-
-# ---------------------------------------------------------------------------
-# Sums of w selected rows, one weight from the last: the kernel of
-# `min_distance` (rows of a systematic generator) and of `max_list_size`
-# (columns of H)
 
 
 def _ball_vector(n: int, q: int, w: int, rank: int) -> np.ndarray:
@@ -324,6 +266,38 @@ def _weights(fld: Field, sums: np.ndarray) -> np.ndarray:
         # a column sum per word: a reduction along the short axis is slower
         return sum(np.bitwise_count(sums).T, np.zeros(len(sums), dtype=np.int64))
     return np.count_nonzero(sums, axis=1)
+
+
+def _levels(fld: Field, multiples: np.ndarray, radius: int):
+    """Yield the `_level_sums` blocks of weights 1..radius, weight by
+    weight, each in rank order.  Each level below the radius is filled into
+    a preallocated array of C(rows, w)(q-1)^w rows, kept only while the
+    next weight reads it."""
+    prev = _zero_sum(multiples)
+    for w in range(1, radius + 1):
+        size = _ball_size(len(multiples), fld.q, w)
+        level = np.empty((size,) + prev.shape[1:], prev.dtype) if w < radius else None
+        start = 0
+        for sums in _level_sums(fld, multiples, prev, w):
+            if level is not None:
+                level[start:start + len(sums)] = sums
+            start += len(sums)
+            yield sums
+        prev = level
+
+
+def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
+    """Exhaustively check for a nonzero codeword of exact Hamming weight.
+
+    The q^k - 1 nonzero messages are walked by weight with `_levels` on
+    the rows of the generator, up to the first block holding a codeword of
+    that weight.  Visiting every message needs no information set.
+    """
+    fld, k = code.field, code.dimension
+    if fld.q ** k > ENUM_GUARD:
+        raise CodeTooLarge(f"q^k = {fld.q}^{k} exceeds {ENUM_GUARD}")
+    multiples = _unit_multiples(fld, code.generator.T)
+    return any((_weights(fld, sums) == weight).any() for sums in _levels(fld, multiples, k))
 
 
 def _information_sets(fld: Field, g: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -437,7 +411,7 @@ def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
     number of ball vectors sharing one syndrome, and any of those vectors
     is a worst center.  The ball is walked by weight, then position
     combination, then unit tuple; each weight's syndromes come from the
-    last weight's by `_level_sums`, keyed as uint64 words, and one stable
+    last weight's by `_levels`, keyed as uint64 words, and one stable
     sort counts them.  The worst center returned is the first ball vector
     in walk order with a most frequent syndrome.
     """
@@ -450,15 +424,8 @@ def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
         raise CodeTooLarge(f"the radius-{radius} ball has {sum(sizes)} vectors, "
                            f"more than {ENUM_GUARD}")
     multiples = _unit_multiples(fld, code.h.T)
-    prev = _zero_sum(multiples)
-    keys = [_syndrome_keys(fld, prev)]
-    for w in range(1, radius + 1):
-        level = []
-        for syn in _level_sums(fld, multiples, prev, w):
-            keys.append(_syndrome_keys(fld, syn))
-            if w < radius:
-                level.append(syn)
-        prev = np.concatenate(level) if level else None
+    keys = [_syndrome_keys(fld, _zero_sum(multiples))]
+    keys += [_syndrome_keys(fld, syn) for syn in _levels(fld, multiples, radius)]
     count, worst = _most_frequent(np.concatenate(keys))
     offsets = np.cumsum(sizes)
     w = int(np.searchsorted(offsets, worst, side="right"))

@@ -128,5 +128,6 @@ class PreconditionViolated(PreconditionError):
     pass
 
 
-class NoCertifiableS(LdpcLabError):
-    pass
+class NoCertifiableS(ResourceGuardError):
+    """The sparsity search ran out of doublings, a search budget like
+    `SearchBudgetExhausted`'s."""

@@ -176,6 +176,13 @@ def phi(lam: float, q: int, s: int) -> tuple[float, float]:
     return psi(lam, beta_star, q, s), beta_star
 
 
+def _check_delta_eps(q: int, delta: float, eps: float) -> None:
+    if not 0 < delta < 1 - 1 / q:
+        raise PreconditionViolated(f"delta = {delta} outside (0, 1 - 1/q)")
+    if not 0 < eps < 1 - hq(delta, q):
+        raise PreconditionViolated(f"eps = {eps} outside (0, 1 - h_q(delta))")
+
+
 @dataclass(frozen=True)
 class GvParams:
     """Parameters of a distance certificate."""
@@ -192,14 +199,7 @@ class GvParams:
             raise PreconditionViolated(f"sparsity s = {self.s} < 2")
         if not 0 < self.rate < 1:
             raise PreconditionViolated(f"rate {self.rate} outside (0, 1)")
-        if not 0 < self.delta < 1 - 1 / self.q:
-            raise PreconditionViolated(
-                f"delta = {self.delta} outside (0, 1 - 1/q)"
-            )
-        if not 0 < self.eps < 1 - hq(self.delta, self.q):
-            raise PreconditionViolated(
-                f"eps = {self.eps} outside (0, 1 - h_q(delta))"
-            )
+        _check_delta_eps(self.q, self.delta, self.eps)
 
     @property
     def t(self) -> Fraction:
@@ -300,6 +300,7 @@ def s0_for_distance(q: int, delta: float, eps: float) -> int:
     from n = 1000 to n = 2000 at the boundary rate 1 - h_q(delta) - eps.
     The sparsity doubles until it does, at most 10 times.
     """
+    _check_delta_eps(q, delta, eps)
     s = max(2, math.ceil(math.log(q / eps) / delta))
     # round the boundary rate down so it stays certifiable
     rate = Fraction(math.floor((1 - hq(delta, q) - eps) * 10 ** 6), 10 ** 6)

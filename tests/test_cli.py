@@ -276,3 +276,24 @@ def test_listdecode_search_budget_exhausted():
                              "--alpha", "0", "--trials", "1", "--seed", "2"])
     assert code == 3, err
     assert "Traceback" not in err and "resource guard" in err
+
+
+def test_distance_profile_sparsity_search_exhausted():
+    # without --s, ten doublings of the analytic sparsity certify nothing
+    code, err = run_process(["distance-profile", "--field", "2", "--n", "60", "--rate", "1/3",
+                             "--delta", "0.05", "--eps", "0.01", "--seed", "0"])
+    assert code == 3, err
+    assert "Traceback" not in err and "resource guard" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--delta", "0", "--eps", "0.01"],
+    ["--delta", "nan", "--eps", "0.01"],
+    ["--delta", "0.05", "--eps", "0"],
+    ["--delta", "0.05", "--eps", "-1"],
+    ["--delta", "0.05", "--eps", "nan"],
+], ids=["delta-0", "delta-nan", "eps-0", "eps-negative", "eps-nan"])
+def test_bad_input_distance_profile_without_s(flags):
+    # the sparsity search checks delta and eps before it uses them
+    assert_bad_input(["distance-profile", "--field", "2", "--n", "60", "--rate", "1/3",
+                      *flags, "--seed", "0"])

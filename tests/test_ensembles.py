@@ -95,12 +95,28 @@ def test_generator_columns_are_codewords():
 FIELDS = {2: F2, 3: F3, 4: field_new(2, 2), 5: field_new(5)}
 
 
+def enumerate_codewords(code, chunk=1 << 16):
+    """Test oracle: all q^k codewords in message order, message m being
+    `index_vector(m)` times the transposed generator."""
+    k, q = code.dimension, code.field.q
+    gen_t = code.generator.T
+    for start in range(0, q ** k, chunk):
+        idx = np.arange(start, min(start + chunk, q ** k))
+        yield from linalg.matmul(code.field, linalg.index_vector(idx, k, q), gen_t)
+
+
+def nonzero_weights(code):
+    """Weights of the nonzero codewords in message order (message 0 is the
+    zero codeword)."""
+    return np.count_nonzero(np.array(list(enumerate_codewords(code)))[1:], axis=1)
+
+
 def min_distance_oracle(code):
     """Brute-force reference for `min_distance`: the lightest nonzero
     codeword over all q^k messages, the first in message order."""
     if code.dimension == 0:
         return 1.0, np.zeros(code.n, dtype=np.int64)
-    weights = np.concatenate(list(ensembles._codeword_weights(code)))
+    weights = nonzero_weights(code)
     first = int(np.argmin(weights))
     msg = linalg.index_vector(first + 1, code.dimension, code.field.q)
     return int(weights[first]) / code.n, linalg.matmul(code.field, code.generator, msg)
@@ -123,53 +139,97 @@ def test_min_distance_known_code():
 
 
 def test_min_distance_bitmask_vs_generic():
-    # min_distance against a scan of every codeword on the generic path
+    # min_distance against a scan of every codeword by the test oracle
     code = ensembles.sample_ldpc(
         ensembles.LdpcEnsembleParams(F2, 18, 3, Fraction(1, 3)), 7
     )
     d_fast, w_fast = ensembles.min_distance(code)
-    weights = [
-        int(np.count_nonzero(cw))
-        for cw in ensembles.enumerate_codewords(code)
-    ]
-    d_slow = min(w for w in weights[1:]) / code.n if len(weights) > 1 else 1.0
+    weights = nonzero_weights(code)
+    d_slow = weights.min() / code.n if len(weights) else 1.0
     assert d_fast == d_slow
     assert np.count_nonzero(w_fast) == round(d_fast * code.n)
     assert ensembles.contains(code, w_fast)
 
 
+def free_top_code(n, k):
+    """H = [I | A] over F_2: the last k coordinates are free, so for k > 0
+    some codeword has coordinate n - 1 set."""
+    a = np.random.default_rng(k).integers(0, 2, size=(n - k, k))
+    return ensembles.LinearCode(F2, np.hstack([np.eye(n - k, dtype=np.int64), a]),
+                                0, Fraction(k, n), 0)
+
+
 @pytest.mark.parametrize("k", range(11))
 def test_codeword_bitmasks_match_enumeration(k):
-    # H = [I | A] leaves the last k coordinates free, so at n = 64 the top
-    # bit of the masks is set
+    # over F_2 the level walk on the generator rows yields the nonzero
+    # codewords as uint64 bitmasks; at n = 64 the top bit is set
     n = 64
-    a = np.random.default_rng(k).integers(0, 2, size=(n - k, k))
-    code = ensembles.LinearCode(F2, np.hstack([np.eye(n - k, dtype=np.int64), a]),
-                                0, Fraction(k, n), 0)
+    code = free_top_code(n, k)
     assert code.dimension == k
-    masks = ensembles._codeword_bitmasks(code)
-    expected = [linalg.vector_index(cw, 2) for cw in ensembles.enumerate_codewords(code)]
-    assert masks.dtype == np.uint64 and masks.tolist() == expected
+    walk = list(ensembles._levels(F2, ensembles._unit_multiples(F2, code.generator.T), k))
+    masks = np.concatenate(walk)[:, 0] if walk else np.zeros(0, dtype=np.uint64)
+    expected = [linalg.vector_index(cw, 2) for cw in enumerate_codewords(code)][1:]
+    assert masks.dtype == np.uint64 and sorted(masks.tolist()) == sorted(expected)
     if k:
         assert int(masks.max()) >> (n - 1) == 1
 
 
 def test_has_codeword_of_weight():
     code = ensembles.sample_rlc(12, Fraction(1, 3), F2, 8)
-    present = {
-        int(w)
-        for ws in ensembles._codeword_weights(code)
-        for w in np.asarray(ws).ravel()
-    }
+    present = set(nonzero_weights(code).tolist())
     for w in range(13):
-        assert ensembles.has_codeword_of_weight(code, w) == (w in present and w > 0)
+        assert ensembles.has_codeword_of_weight(code, w) == (w in present)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_has_codeword_of_weight_matches_oracle(q, data):
+    # random H with zero and duplicated rows, k from 0 up to what the
+    # oracle enumerates quickly; over F_2 also n = 64 with the top
+    # coordinate free and n = 70, where codewords take two words
+    fld = FIELDS[q]
+    shape = data.draw(st.sampled_from(["random", "top", "two words"] if q == 2 else ["random"]),
+                      label="shape")
+    if shape == "top":
+        code = free_top_code(64, data.draw(st.integers(0, 10), label="k"))
+    elif shape == "two words":
+        k = data.draw(st.integers(0, 10), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        code = ensembles.LinearCode(fld, rng.integers(0, 2, size=(70 - k, 70)), 0,
+                                    Fraction(1, 2), 0)
+    else:
+        n = data.draw(st.integers(1, {2: 12, 3: 8, 4: 6, 5: 6}[q]), label="n")
+        m = data.draw(st.integers(0, n), label="rows")
+        entries = data.draw(st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n))
+        h = np.array(entries, dtype=np.int64).reshape(m, n)
+        if m and data.draw(st.booleans(), label="duplicate rows"):
+            h = h[data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+        zero_rows = data.draw(st.integers(0, 2), label="zero rows")
+        code = ensembles.LinearCode(fld, np.vstack([h, np.zeros((zero_rows, n), dtype=np.int64)]),
+                                    0, Fraction(1, 2), 0)
+    present = set(nonzero_weights(code).tolist())
+    for w in range(code.n + 2):
+        assert ensembles.has_codeword_of_weight(code, w) == (w in present)
+
+
+def test_has_codeword_of_weight_guard(monkeypatch):
+    # q^k = 2^25 messages: refused before any level is summed
+    code = ensembles.LinearCode(F2, np.zeros((0, 25), dtype=np.int64), 0, Fraction(1, 2), 0)
+
+    def spy(*args):
+        raise AssertionError("level summed past the guard")
+
+    monkeypatch.setattr(ensembles, "_level_sums", spy)
+    with pytest.raises(CodeTooLarge, match=r"q\^k = 2\^25 exceeds 16777216"):
+        ensembles.has_codeword_of_weight(code, 1)
 
 
 @pytest.mark.parametrize("fld,n", [(F3, 9), (field_new(2, 2), 6), (F2, 70)])
 def test_nonzero_weights_match_enumeration(fld, n):
-    # the generic chunked path (q > 2 or n > 64) must skip message 0 too
+    # q > 2 and codewords of two words, all through the level walk
     code = ensembles.sample_rlc(n, Fraction(1, 3) if n < 70 else Fraction(1, 7), fld, 4)
-    weights = [int(np.count_nonzero(cw)) for cw in ensembles.enumerate_codewords(code)][1:]
+    weights = nonzero_weights(code).tolist()
     d, witness = ensembles.min_distance(code)
     assert round(d * n) == min(weights) and np.count_nonzero(witness) == min(weights)
     assert ensembles.contains(code, witness)
@@ -273,7 +333,7 @@ def list_size_at(code, center, alpha):
     """Per-center oracle: the codewords within relative distance alpha of
     `center` (one vector, or one center per row), counted by enumeration."""
     radius = int(np.floor(alpha * code.n + 1e-9))
-    cws = np.array(list(ensembles.enumerate_codewords(code)), dtype=np.int64)
+    cws = np.array(list(enumerate_codewords(code)), dtype=np.int64)
     far = np.count_nonzero(np.asarray(center)[..., None, :] != cws.reshape(-1, code.n),
                            axis=-1)
     return np.count_nonzero(far <= radius, axis=-1)
@@ -338,7 +398,7 @@ def test_list_size_at_zero_center_counts_ball_codewords():
     code = ensembles.sample_rlc(10, Fraction(1, 2), F2, 5)
     alpha = 0.3
     by_enum = sum(
-        1 for cw in ensembles.enumerate_codewords(code) if np.count_nonzero(cw) <= 3
+        1 for cw in enumerate_codewords(code) if np.count_nonzero(cw) <= 3
     )
     assert list_size_at(code, np.zeros(10, dtype=np.int64), alpha) == by_enum
 
