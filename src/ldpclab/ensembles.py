@@ -32,6 +32,7 @@ from .errors import (
 from .gf import Field, field_new
 
 ENUM_GUARD = 1 << 24
+RLC_CHUNK, LDPC_CHUNK = 1 << 12, 1 << 14  # MC trials per batch; fixes LDPC's stream
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -456,20 +457,19 @@ def mc_rlc_contains(
     fld: Field,
     trials: int,
     seed: int,
-    chunk: int = 1 << 12,
 ) -> float:
     """Fraction of random linear codes (over `trials` seeds) containing M.
 
     A fresh uniform parity-check matrix is drawn per trial and M is
-    contained iff H.M = 0; trials are batched `chunk` at a time.
+    contained iff H.M = 0; trials are batched RLC_CHUNK at a time.
     """
     m = np.asarray(m, dtype=np.int64)
     n, ell = m.shape
     rows = int((1 - Fraction(rate)) * n)
     rng = make_rng(seed)
     hits = 0
-    for start in range(0, trials, chunk):
-        b = min(chunk, trials - start)
+    for start in range(0, trials, RLC_CHUNK):
+        b = min(RLC_CHUNK, trials - start)
         hs = rng.integers(0, fld.q, size=(b, rows, n))
         prod = linalg.matmul(fld, hs, m)
         hits += int(np.count_nonzero(~prod.any(axis=(1, 2))))
@@ -481,12 +481,11 @@ def mc_ldpc_contains(
     params: LdpcEnsembleParams,
     trials: int,
     seed: int,
-    chunk: int = 1 << 14,
 ) -> float:
     """Fraction of sampled s-LDPC codes containing M.
 
     Per layer, M is annihilated iff every check's scaled row sum vanishes;
-    the layers of `chunk` trials at a time come from the batched sampler
+    the layers of LDPC_CHUNK trials at a time come from the batched sampler
     that `sample_ldpc` uses, so one trial at `seed` tests exactly the code
     `sample_ldpc(params, seed)`.
     """
@@ -498,8 +497,8 @@ def mc_ldpc_contains(
     s, blocks = params.s, params.checks_per_layer
     rng = make_rng(seed)
     hits = 0
-    for start in range(0, trials, chunk):
-        b = min(chunk, trials - start)
+    for start in range(0, trials, LDPC_CHUNK):
+        b = min(LDPC_CHUNK, trials - start)
         ok = np.ones(b, dtype=bool)
         for perms, scalars in _layer_draws(params, rng, b):
             rows = fld.mul(m[perms], scalars[:, :, None])  # (b, n, ell)

@@ -4,9 +4,9 @@ Elements are represented as integers in [0, q): the base-p digits of the
 integer are the coefficients of the residue polynomial (digit i is the
 coefficient of x^i).  Prime fields multiply and add mod p directly;
 extension fields multiply through log/antilog tables built from a fixed
-generator and add digit-wise mod p (XOR when p = 2).  The trace map and
-the additive characters needed for Fourier analysis are precomputed at
-construction.
+generator and add digit-wise mod p (XOR when p = 2).  The trace map,
+with Frobenius read off those tables, and the additive characters are
+precomputed at construction.
 """
 
 from __future__ import annotations
@@ -74,16 +74,9 @@ def _poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(f)/2."""
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
-        # enumerate monic degree-d polynomials by their p^d lower coefficients
+        # monic degree-d polynomials, indexed by their p^d lower coefficients
         for code in range(p ** d):
-            g = [0] * (d + 1)
-            g[d] = 1
-            c = code
-            for i in range(d):
-                g[i] = c % p
-                c //= p
-            g = tuple(g)
-            if not _poly_mod(f, g, p):
+            if not _poly_mod(f, _int_to_poly(code + p ** d, p), p):
                 return False
     return True
 
@@ -96,13 +89,7 @@ def _least_irreducible(p: int, h: int) -> tuple[int, ...]:
     the choice is deterministic.
     """
     for code in range(p ** h):
-        f = [0] * (h + 1)
-        f[h] = 1
-        c = code
-        for i in range(h):
-            f[i] = c % p
-            c //= p
-        f = tuple(f)
+        f = _int_to_poly(code + p ** h, p)
         if _poly_is_irreducible(f, p):
             return f
     raise RuntimeError(f"no irreducible polynomial of degree {h} over F_{p}")
@@ -136,10 +123,12 @@ class Field:
         q = p ** h
         if q > MAX_Q:
             raise FieldTooLarge(f"q = {p}^{h} = {q} exceeds {MAX_Q}")
-        self.p = p
-        self.h = h
-        self.q = q
+        self.p, self.h, self.q = p, h, q
         self.modulus: tuple[int, ...] = () if h == 1 else _least_irreducible(p, h)
+        if p != 2 and h > 1:
+            # digit i of element e is _digits[e, i]; _powers re-encodes digits
+            self._powers = p ** np.arange(h)
+            self._digits = np.arange(q)[:, None] // self._powers % p
         self._build_tables()
         self._build_trace()
         self._char_roots = np.array(
@@ -155,49 +144,35 @@ class Field:
         prod = _poly_mul(_int_to_poly(a, self.p), _int_to_poly(b, self.p), self.p)
         return _poly_to_int(_poly_mod(prod, self.modulus, self.p), self.p)
 
-    def _element_order(self, g: int) -> int:
-        x, k = g, 1
-        while x != 1:
-            x = self._mul_schoolbook(x, g)
-            k += 1
-            if k > self.q:
-                raise RuntimeError("order computation ran away")
-        return k
-
     def _build_tables(self) -> None:
+        """The first g = 1, 2, ... whose powers (at most q of them) reach
+        order q - 1 is the generator, and its walk is the antilog table."""
         q = self.q
-        gen = next(g for g in range(1, q) if self._element_order(g) == q - 1)
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_schoolbook(x, gen)
-        self.generator = gen
-        self._exp = exp
-        self._log = log
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1:
+                if len(exp) == q:
+                    raise RuntimeError("order computation ran away")
+                exp.append(x)
+                x = self._mul_schoolbook(x, g)
+            if len(exp) == q - 1:
+                break
+        self.generator = g
+        self._exp = np.array(exp, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._exp] = np.arange(q - 1)
 
     def _build_trace(self) -> None:
-        tr = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            acc, x = 0, a
-            for _ in range(self.h):
-                acc = self.add(acc, x)
-                x = self._pow_schoolbook(x, self.p)
-            # trace lands in the prime subfield: its encoding is a digit < p
-            assert acc < self.p
-            tr[a] = acc
+        """tr(a) = sum of a^(p^i), i < h, with Frobenius read off the tables."""
+        q = self.q
+        x = np.arange(q)
+        tr = np.zeros(q, dtype=np.int64)
+        for _ in range(self.h):
+            tr = self.add(tr, x)
+            x[1:] = self._exp[self.p * self._log[x[1:]] % (q - 1)]
+        # trace lands in the prime subfield: its encoding is a digit < p
+        assert (tr < self.p).all()
         self._trace = tr
-
-    def _pow_schoolbook(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_schoolbook(r, a)
-            a = self._mul_schoolbook(a, a)
-            e >>= 1
-        return r
 
     def _verify(self) -> None:
         """Cross-check table multiplication against schoolbook arithmetic."""
@@ -220,13 +195,7 @@ class Field:
             return np.bitwise_xor(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a ^ b
         if self.h == 1:
             return (a + b) % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        pk = 1
-        for _ in range(self.h):
-            out += (((a // pk) % self.p + (b // pk) % self.p) % self.p) * pk
-            pk *= self.p
+        out = (self._digits[a] + self._digits[b]) % self.p @ self._powers
         return out if out.shape else int(out)
 
     def neg(self, a):
@@ -234,12 +203,7 @@ class Field:
             return a
         if self.h == 1:
             return (-np.asarray(a)) % self.p if isinstance(a, np.ndarray) else (-a) % self.p
-        a = np.asarray(a)
-        out = np.zeros(a.shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.h):
-            out += ((-((a // pk) % self.p)) % self.p) * pk
-            pk *= self.p
+        out = -self._digits[a] % self.p @ self._powers
         return out if out.shape else int(out)
 
     def sub(self, a, b):
@@ -251,8 +215,7 @@ class Field:
             if scalar:
                 return int(a) * int(b) % self.p
             return np.multiply(a, b, dtype=np.int64) % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
+        a, b = np.asarray(a), np.asarray(b)
         nz = (a != 0) & (b != 0)
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         if np.any(nz):
@@ -269,14 +232,6 @@ class Field:
         out = self._exp[(-self._log[a]) % (self.q - 1)]
         return int(out) if scalar else out
 
-    def dot(self, u, v) -> int:
-        """Inner product <u, v> of two equal-length vectors."""
-        prods = self.mul(np.asarray(u), np.asarray(v))
-        acc = 0
-        for x in np.atleast_1d(prods):
-            acc = self.add(acc, int(x))
-        return acc
-
     # -- trace and characters --
 
     def trace(self, a):
@@ -290,9 +245,6 @@ class Field:
         return self._char_roots[self.trace(self.mul(x, y))]
 
     # -- misc --
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def units(self) -> range:
         return range(1, self.q)

@@ -324,14 +324,6 @@ def s0_main(q: int, eps: float, rbar: float, b: int) -> int:
     return math.ceil((b * math.log2(q) + math.log2(q / eps)) / denom)
 
 
-def s0_from_smoothness(q: int, delta: float, ell: int) -> int:
-    """Sparsity sufficient for the smooth containment bound at column count ell."""
-    if not 0 < delta < 1 - 1 / q:
-        raise OutOfDomain(f"delta = {delta} outside (0, 1 - 1/q)")
-    denom = math.log(1 / (1 - delta / (1 - 1 / q)), q)
-    return math.ceil(ell / denom)
-
-
 @dataclass
 class DistanceCertificate:
     params: GvParams
@@ -373,5 +365,5 @@ def certify_distance(
     for i in range(1, math.floor(delta * n) + 1):
         lam = i / n
         ph, beta = phi(lam, q, s)
-        rows.append((lam, beta, psi(lam, beta, q, s), ph, ph / hq(lam, q)))
+        rows.append((lam, beta, ph, ph, ph / hq(lam, q)))
     return DistanceCertificate(params, n, rows, failure_bound(params, n))

@@ -143,7 +143,7 @@ def subspace_count(ell: int, q: int) -> int:
     return sum(gaussian_binomial(ell, m, q) for m in range(ell + 1))
 
 
-def enumerate_subspaces(field: Field, ell: int, max_count: int = MAX_SUBSPACES):
+def enumerate_subspaces(field: Field, ell: int):
     """Yield every subspace of F_q^ell exactly once, as its RREF basis.
 
     The dimension-m subspaces are generated by choosing pivot columns and
@@ -152,8 +152,8 @@ def enumerate_subspaces(field: Field, ell: int, max_count: int = MAX_SUBSPACES):
     """
     q = field.q
     total = subspace_count(ell, q)
-    if total > max_count:
-        raise TooManySubspaces(f"{total} subspaces of F_{q}^{ell} exceeds {max_count}")
+    if total > MAX_SUBSPACES:
+        raise TooManySubspaces(f"{total} subspaces of F_{q}^{ell} exceeds {MAX_SUBSPACES}")
     yield np.zeros((0, ell), dtype=np.int64)  # the trivial subspace
     for m in range(1, ell + 1):
         for pivots in combinations(range(ell), m):

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateDistribution,
     KernelFullSpace,
     MalformedInput,
-    NotInLtau,
     PreconditionViolated,
     SearchBudgetExhausted,
     SupportTooLarge,
@@ -32,6 +31,7 @@ from .gf import Field, field_new
 Real = Union[Fraction, float]
 
 DUAL_ENUM_GUARD = 10 ** 6
+SEARCH_SUPPORT_CAP, SEARCH_DENOMINATOR = 8, 24  # threshold search: support, mass grain
 
 
 @dataclass(frozen=True)
@@ -239,37 +239,6 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     return ThresholdReport(r_exp, best, best_kernel, best_implied)
 
 
-@dataclass
-class ContainmentEstimate:
-    matrix_count: int          # |M_{n,tau}|, exact multinomial
-    log_q_expected: float      # log_q of the expected contained-matrix count
-    expected_count: float
-    union_bound: float
-
-
-def prob_rlc_contains(tau: RowDistribution, n: int, rate) -> ContainmentEstimate:
-    """First-moment containment estimate for a random linear code.
-
-    |M_{n,tau}| is the exact multinomial coefficient; the expected count is
-    |M_{n,tau}| * q^{-(1-R) d(tau) n}, evaluated in log space.
-    """
-    rate = Fraction(rate)
-    counts = []
-    for v, m in tau.masses:
-        c = m * n
-        if c.denominator != 1:
-            raise NotInLtau(f"tau({v}) * n = {c} is not an integer")
-        counts.append(int(c))
-    mcount = math.factorial(n)
-    for c in counts:
-        mcount //= math.factorial(c)
-    d = span_dim(tau)
-    q = tau.field.q
-    log_expected = math.log(mcount, q) - float((1 - rate) * d) * n
-    expected = q ** log_expected if log_expected < 300 else math.inf
-    return ContainmentEstimate(mcount, log_expected, expected, min(1.0, expected))
-
-
 # ---------------------------------------------------------------------------
 # Bad-list search for the list-decoding property
 
@@ -329,10 +298,8 @@ def listdec_threshold_search(
     fld: Field,
     alpha,
     list_size: int,
-    support_cap: int = 8,
     iterations: int = 200,
     seed: int = 0,
-    denominator: int = 24,
 ) -> tuple[RowDistribution, Real]:
     """Heuristic upper bound on the list-decoding threshold min-max.
 
@@ -344,23 +311,21 @@ def listdec_threshold_search(
     if list_size < 1:
         raise PreconditionViolated("list size must be >= 1 (l = L+1 >= 2)")
     ell = list_size + 1
-    if support_cap > 20:
-        raise SupportTooLarge(f"support cap {support_cap} exceeds 20")
     alpha = Fraction(alpha)
     q = fld.q
     rng = np.random.default_rng(seed)
 
     def random_candidate() -> Optional[RowDistribution]:
-        k = int(rng.integers(2, support_cap + 1))
+        k = int(rng.integers(2, SEARCH_SUPPORT_CAP + 1))
         vecs = {
             tuple(int(x) for x in rng.integers(0, q, size=ell)) for _ in range(k)
         }
         vecs = sorted(vecs)
         if len(vecs) < 2:
             return None
-        cuts = sorted(rng.choice(denominator - 1, size=len(vecs) - 1, replace=False) + 1)
-        parts = np.diff([0, *cuts, denominator])
-        d = {v: Fraction(int(c), denominator) for v, c in zip(vecs, parts) if c > 0}
+        cuts = sorted(rng.choice(SEARCH_DENOMINATOR - 1, size=len(vecs) - 1, replace=False) + 1)
+        parts = np.diff([0, *cuts, SEARCH_DENOMINATOR])
+        d = {v: Fraction(int(c), SEARCH_DENOMINATOR) for v, c in zip(vecs, parts) if c > 0}
         if len(d) < 2:
             return None
         return RowDistribution.from_dict(fld, ell, d)
@@ -371,7 +336,7 @@ def listdec_threshold_search(
         if len(keys) < 2:
             return None
         i, j = rng.choice(len(keys), size=2, replace=False)
-        step = Fraction(1, denominator)
+        step = Fraction(1, SEARCH_DENOMINATOR)
         if d[keys[i]] <= step:
             return None
         d[keys[i]] -= step

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -266,6 +267,7 @@ def exact_layer_prob_oracle(tau, n, s):
         [linalg.vector_index(x, q) for x in fld.add(vecs[i][None, :], vecs)]
         for i in range(size)])
 
+    @functools.cache
     def block_zero_prob(comp):
         acc = np.zeros(size)
         acc[0] = 1.0
@@ -276,6 +278,7 @@ def exact_layer_prob_oracle(tau, n, s):
                 acc = nxt
         return float(acc[0])
 
+    @functools.cache
     def walk(rem):
         if sum(rem) == 0:
             return 1.0

@@ -28,8 +28,8 @@ def test_field_axioms(p, h):
 @pytest.mark.parametrize("p,h", [(p, h) for p, h in FIELDS if p ** h <= 64])
 def test_character_orthogonality(p, h):
     f = field_new(p, h)
-    for x in f.elements():
-        s = sum(f.character(x, y) for y in f.elements())
+    for x in range(f.q):
+        s = sum(f.character(x, y) for y in range(f.q))
         expect = f.q if x == 0 else 0.0
         assert abs(s - expect) < 1e-9
 
@@ -37,14 +37,82 @@ def test_character_orthogonality(p, h):
 @pytest.mark.parametrize("p,h", [(2, 2), (2, 4), (3, 2), (5, 2)])
 def test_trace_additive_and_into_prime_field(p, h):
     f = field_new(p, h)
-    for a in f.elements():
+    for a in range(f.q):
         assert 0 <= f.trace(a) < p
     rng = np.random.default_rng(1)
     a = rng.integers(0, f.q, 50)
     b = rng.integers(0, f.q, 50)
     assert np.array_equal(f.trace(f.add(a, b)), (f.trace(a) + f.trace(b)) % p)
     # trace is onto F_p (not identically zero)
-    assert set(int(f.trace(a)) for a in f.elements()) == set(range(p))
+    assert set(int(f.trace(a)) for a in range(f.q)) == set(range(p))
+
+
+def digit_add(p, h, a, b):
+    """Digit-wise sum mod p of the base-p encodings, one digit at a time."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    pk = 1
+    for _ in range(h):
+        out += (((a // pk) % p + (b // pk) % p) % p) * pk
+        pk *= p
+    return out
+
+
+def digit_neg(p, h, a):
+    a = np.asarray(a)
+    out = np.zeros(a.shape, dtype=np.int64)
+    pk = 1
+    for _ in range(h):
+        out += ((-((a // pk) % p)) % p) * pk
+        pk *= p
+    return out
+
+
+def trace_by_definition(f, a):
+    """a + a^p + ... + a^(p^(h-1)), each power by schoolbook products."""
+    acc, x = 0, a
+    for i in range(f.h):
+        acc = int(digit_add(f.p, f.h, acc, x))
+        if i + 1 < f.h:
+            y = 1
+            for _ in range(f.p):
+                y = f._mul_schoolbook(y, x)
+            x = y
+    return acc
+
+
+TRACE_FIELDS = FIELDS + [(3, 3), (7, 2), (2, 8), (3, 4), (5, 3), (11, 2), (13, 2), (251, 1)]
+
+
+@pytest.mark.parametrize("p,h", TRACE_FIELDS)
+def test_trace_matches_definition(p, h):
+    f = field_new(p, h)
+    assert f.trace(np.arange(f.q)).tolist() == [trace_by_definition(f, a) for a in range(f.q)]
+
+
+@pytest.mark.parametrize("p,h", [(2, 12), (3, 5), (2, 16)])
+def test_trace_matches_definition_sampled(p, h):
+    # (2, 16) is MAX_Q: the largest field must build, tables and trace
+    f = field_new(p, h)
+    for a in np.random.default_rng(2).integers(0, f.q, 256).tolist():
+        assert f.trace(a) == trace_by_definition(f, a)
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_extension_add_neg_sub_match_digit_loops(p, h):
+    f = field_new(p, h)
+    a = np.repeat(np.arange(f.q), f.q)
+    b = np.tile(np.arange(f.q), f.q)
+    assert np.array_equal(f.add(a, b), digit_add(p, h, a, b))
+    assert np.array_equal(f.neg(a), digit_neg(p, h, a))
+    assert np.array_equal(f.sub(a, b), digit_add(p, h, a, digit_neg(p, h, b)))
+    grid = np.arange(f.q).reshape(p, -1)  # broadcasting against a row
+    assert np.array_equal(f.add(grid, grid[0]), digit_add(p, h, grid, grid[0]))
+    for x, y in zip(a[::97].tolist(), b[::97].tolist()):
+        for got, want in ((f.add(x, y), digit_add(p, h, x, y)),
+                          (f.neg(x), digit_neg(p, h, x)),
+                          (f.sub(x, y), digit_add(p, h, x, digit_neg(p, h, y)))):
+            assert type(got) is int and got == int(want)
 
 
 def test_canonical_moduli():
@@ -91,8 +159,6 @@ def test_scalar_vs_array_consistency():
 
 def test_dot_and_elements():
     f = field_new(2)
-    assert f.dot([1, 0, 1], [1, 1, 1]) == 0
-    assert f.dot([1, 0, 1], [1, 1, 0]) == 1
     assert list(f.units()) == [1]
 
 

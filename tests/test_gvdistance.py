@@ -248,10 +248,6 @@ def test_s0_main_and_smoothness():
     expect = math.ceil((b * math.log2(q) + math.log2(q / eps)) / gv.hq_inverse(1 - rbar, q))
     assert gv.s0_main(q, eps, rbar, b) == expect
     assert gv.s0_main(q, eps, 0.2, b) <= expect
-    d = gv.s0_from_smoothness(3, 0.3, 2)
-    assert d == math.ceil(2 / math.log(1 / (1 - 0.3 / (2 / 3)), 3))
-    with pytest.raises(OutOfDomain):
-        gv.s0_from_smoothness(2, 0.7, 2)
 
 
 def test_certificate_outputs():

@@ -8,7 +8,6 @@ from ldpclab import linalg, rowdist
 from ldpclab.errors import (
     DegenerateDistribution,
     KernelFullSpace,
-    NotInLtau,
     SupportTooLarge,
 )
 from ldpclab.gf import field_new
@@ -153,21 +152,6 @@ def test_smoothness_iff_full_span():
         ell = int(rng.integers(1, 4))
         tau = random_tau(fld, ell, rng)
         assert (rowdist.smoothness(tau) > 0) == (rowdist.span_dim(tau) == ell)
-
-
-def test_prob_rlc_contains():
-    # single-column Bernoulli weight distribution
-    tau = rowdist.RowDistribution.from_dict(
-        F2, 1, {(0,): Fraction(4, 5), (1,): Fraction(1, 5)})
-    est = rowdist.prob_rlc_contains(tau, 20, Fraction(1, 10))
-    assert est.matrix_count == math.comb(20, 4)
-    assert est.expected_count == pytest.approx(math.comb(20, 4) * 2 ** (-18), rel=1e-9)
-    assert est.union_bound == min(1.0, est.expected_count)
-    with pytest.raises(NotInLtau):
-        rowdist.prob_rlc_contains(tau, 21, Fraction(1, 3))
-    origin = rowdist.RowDistribution.from_dict(F2, 2, {(0, 0): Fraction(1)})
-    est0 = rowdist.prob_rlc_contains(origin, 10, Fraction(1, 2))
-    assert est0.matrix_count == 1 and est0.union_bound == 1.0
 
 
 def test_is_bad_list():
