@@ -207,8 +207,8 @@ def cmd_listdecode(args) -> None:
     rows = []
     for rate in _feasible_rates(args.n, args.s, 8):
         sizes = []
+        params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, rate)
         for i in range(args.trials):
-            params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, rate)
             code = ensembles.sample_ldpc(params, args.seed + i)
             sizes.append(ensembles.max_list_size(code, args.alpha).max_list_size)
         rows.append(

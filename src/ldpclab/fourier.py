@@ -183,11 +183,8 @@ def ldpc_contain_bound(
     per_block = math.log(q ** (-ell) + (1 - q * delta / (q - 1)) ** s, q)
     # Pr[iid rows realize tau exactly] = multinomial * q^(-n H_q(tau))
     log_multinomial = math.log(math.factorial(n), q)
-    for v, mass in tau.masses:
-        c = mass * n
-        if c.denominator != 1:
-            raise NotInLtau(f"tau({v}) * n = {c} is not an integer")
-        log_multinomial -= math.log(math.factorial(int(c)), q)
+    for _, mass in tau.masses:
+        log_multinomial -= math.log(math.factorial(int(mass * n)), q)
     conditioning = n * float(entropy_q(tau)) - log_multinomial
     layer = (n // s) * per_block + conditioning
     t = int(params.t)
@@ -210,14 +207,11 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     """Exact probability that one layer annihilates a fixed M with row
     distribution tau.
 
-    The layer partitions the n rows into n/s blocks uniformly and scales
-    each by an independent uniform unit; a block vanishes iff its scaled
-    rows sum to zero in F_q^l.  DP over blocks on the remaining row-type
-    counts, with multivariate hypergeometric transition weights; the
-    within-block zero-sum probability is an exact count of vanishing unit
-    scalings, read off the transforms of the twisted rows.  For l = 1
-    only the nonzero count matters and the weight DP
-    `gvdistance.weight_layer_prob` applies, for any n.
+    A block vanishes iff its rows, each scaled by a uniform unit, sum to
+    zero in F_q^l; that probability is an exact count of vanishing unit
+    scalings, read off the transforms of the twisted rows, and the layer
+    DP `gvdistance.layer_prob` walks the blocks.  For l = 1 only the
+    nonzero count matters and `gvdistance.weight_layer_prob` applies.
     """
     fld = tau.field
     q = fld.q
@@ -257,39 +251,4 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
         )
         return total // q ** tau.ell / (q - 1) ** s
 
-    def compositions(total: int, caps: tuple[int, ...]):
-        if len(caps) == 1:
-            if total <= caps[0]:
-                yield (total,)
-            return
-        for first in range(min(total, caps[0]) + 1):
-            for rest in compositions(total - first, caps[1:]):
-                yield (first, *rest)
-
-    memo: dict[tuple[int, ...], float] = {}
-
-    def walk(rem: tuple[int, ...]) -> float:
-        n_rem = sum(rem)
-        if n_rem == 0:
-            return 1.0
-        if rem in memo:
-            return memo[rem]
-        if len(memo) > 2 * 10 ** 6:
-            raise StateSpaceTooLarge("allocation DP state count exceeded guard")
-        total = 0.0
-        denom = math.comb(n_rem, s)
-        for comp in compositions(s, rem):
-            z = block_zero_prob(comp)
-            if z == 0.0:
-                continue
-            weight = 1
-            for c, k in zip(rem, comp):
-                weight *= math.comb(c, k)
-            nxt = tuple(c - k for c, k in zip(rem, comp))
-            total += (weight / denom) * z * walk(nxt)
-        memo[rem] = total
-        return total
-
-    out = walk(tuple(counts))
-    block_zero_prob.cache_clear()
-    return out
+    return gvdistance.layer_prob(counts, s, block_zero_prob)

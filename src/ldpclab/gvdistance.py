@@ -1,14 +1,15 @@
-"""Distance certificates for sparse layered codes.
+"""Distance certificates for sparse layered codes, and the layer DP.
 
 The chain of quantities: mu_q(beta) is the F_q distribution that is 0 with
 probability 1-beta and uniform on the units otherwise; Z(beta) is the
 probability that s i.i.d. mu_q(beta) samples sum to zero; psi tilts log_q Z
 by a KL term; phi(lambda) = inf_beta psi(lambda, beta) is the asymptotic
 exponent of the probability P_lambda that a fixed weight-(lambda n) vector
-lies in the code.  p_lambda_bound keeps the binomial factor that the
-exponent drops, so it bounds P_lambda at every n, and a union bound over
-weights up to delta*n turns it into a failure-probability certificate for
-relative distance delta.
+lies in the code.  The layer DP `layer_prob` is the exact probability
+that one layer annihilates a fixed word or matrix (P_lambda is its t-th
+power).  p_lambda_bound keeps the binomial factor that the exponent drops,
+so it bounds P_lambda at every n, and a union bound over weights up to
+delta*n turns it into a failure-probability certificate for distance delta.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from .errors import (
 )
 
 BISECT_TOL = 1e-12
+STATE_GUARD = 2 * 10 ** 6
 
 
 def hq(x: float, q: int) -> float:
@@ -73,38 +76,68 @@ def zero_sum_probs(q: int, kmax: int) -> list[float]:
     return r[: kmax + 1]
 
 
-def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:
-    """Probability that one layer annihilates a fixed weight-w word in F_q^n.
+def compositions(total: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Vectors k <= caps with sum total, in lexicographic order."""
+    heads = [()]
+    for cap in caps[:-1]:
+        heads = [h + (k,) for h in heads for k in range(min(total - sum(h), cap) + 1)]
+    return [h + (total - sum(h),) for h in heads if total - sum(h) <= caps[-1]]
 
-    A layer partitions [n] into n/s blocks of s; a block holding k of the w
-    nonzero coordinates annihilates them with probability r_k (each entry
-    is scaled by a fresh uniform unit).  The DP walks the blocks from the
-    last one back, tracking how many nonzero coordinates remain, with
-    hypergeometric transition weights; it runs in O(n w) steps without
-    recursion.  The caller checks that s divides n.
+
+def layer_prob(counts, s: int, block_zero) -> float:
+    """Probability that one layer annihilates rows with these type counts.
+
+    The layer cuts the rows into blocks of s uniformly, and a block holding
+    k_i rows of type i vanishes with probability block_zero(k).  Drawing
+    the blocks in turn, the remaining counts move from rem to rem - k with
+    weight prod_i C(rem_i, k_i) / C(sum rem, s).  A forward pass collects
+    each block's reachable states and weighted steps; a backward pass
+    values them from the last block back.  s must divide sum(counts).
     """
-    r = zero_sum_probs(q, s)
-    blocks = n // s
-    # after[x]: probability that the blocks after the current one
-    # annihilate x nonzero coordinates (past the last block, only x = 0)
-    after = [1.0]
-    for b in range(blocks - 1, -1, -1):
-        n_rem = (blocks - b) * s
-        cur = []
-        for x in range(min(w, n_rem) + 1):
-            total = 0.0
-            for k in range(max(0, x - (n_rem - s)), min(s, x) + 1):
-                if r[k] == 0.0:
+    frontier = {tuple(counts): 0}
+    states, levels, comps, s_caps = 1, [], {}, (s,) * len(counts)
+    for _ in range(sum(counts) // s):
+        nxt_index, level = {}, []
+        for rem in frontier:
+            denom, steps = math.comb(sum(rem), s), []  # flat (coefficient, next) pairs
+            caps = tuple(map(min, rem, s_caps))
+            if caps not in comps:
+                comps[caps] = compositions(s, caps)
+            for comp in comps[caps]:
+                z = block_zero(comp)
+                if z == 0.0:
                     continue
-                pk = (
-                    math.comb(x, k)
-                    * math.comb(n_rem - x, s - k)
-                    / math.comb(n_rem, s)
-                )
-                total += pk * r[k] * after[x - k]
+                nxt = tuple(map(operator.sub, rem, comp))
+                if nxt not in nxt_index:
+                    states += 1
+                    if states > STATE_GUARD:
+                        raise StateSpaceTooLarge("allocation DP state count exceeded guard")
+                    nxt_index[nxt] = len(nxt_index)
+                weight = math.prod(map(math.comb, rem, comp))
+                steps += (weight / denom * z, nxt_index[nxt])
+            level.append(steps)
+        levels.append(level)
+        frontier = nxt_index
+    value = [1.0] * len(frontier)  # past the last block: the empty state
+    for level in reversed(levels):
+        cur = []
+        for steps in level:
+            total = 0.0
+            pairs = iter(steps)
+            for coef, j in zip(pairs, pairs):
+                total += coef * value[j]
             cur.append(total)
-        after = cur
-    return after[w]
+        value = cur
+    return value[0]
+
+
+def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:
+    """Probability that one layer annihilates a fixed weight-w word in F_q^n:
+    `layer_prob` on the (nonzero, zero) counts, where a block holding k
+    nonzero entries, each scaled by a uniform unit, vanishes with
+    probability r_k.  The caller checks that s divides n."""
+    r = zero_sum_probs(q, s)
+    return layer_prob((w, n - w), s, lambda k: r[k[0]])
 
 
 def _check_beta(beta: float, q: int, name: str = "beta") -> None:
@@ -245,7 +278,7 @@ def p_lambda_bound(lam: float, n: int, params: GvParams) -> float:
 
 
 def p_lambda_exact(lam: float, n: int, params: GvParams) -> float:
-    """Exact log_q P_lambda from the layer DP `weight_layer_prob`.
+    """Exact log_q P_lambda from the layer DP, via `weight_layer_prob`.
 
     Layers are independent, so P_lambda = (layer prob)^t.  Returns -inf
     when the probability is 0.

@@ -354,10 +354,7 @@ def listdec_threshold_search(
         cand = perturb(current) if current is not None and rng.random() < 0.7 else random_candidate()
         if cand is None:
             continue
-        try:
-            bad, _ = is_bad_list(cand, alpha)
-        except SupportTooLarge:
-            continue
+        bad, _ = is_bad_list(cand, alpha)
         if not bad:
             continue
         r = rstar(cand).r_star

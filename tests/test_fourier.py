@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpclab import fourier, linalg
+from ldpclab import fourier, gvdistance, linalg
 from ldpclab.ensembles import LdpcEnsembleParams
 from ldpclab.errors import (
     DivisibilityViolation,
@@ -249,6 +249,46 @@ def test_exact_layer_prob_oracle_by_partition_enumeration():
         total / count, abs=1e-10)
 
 
+def walk_oracle(counts, s, block_zero):
+    """The layer DP as a recursive, memoised walk over the remaining
+    row-type counts, compositions in lexicographic order; `layer_prob`
+    must reproduce its floats bit for bit."""
+
+    @functools.cache
+    def walk(rem):
+        n_rem = sum(rem)
+        if n_rem == 0:
+            return 1.0
+        total = 0.0
+        for comp in itertools.product(*(range(c + 1) for c in rem)):
+            z = block_zero(comp) if sum(comp) == s else 0.0
+            if z == 0.0:
+                continue
+            weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
+            nxt = tuple(c - k for c, k in zip(rem, comp))
+            total += (weight / math.comb(n_rem, s)) * z * walk(nxt)
+        return total
+
+    return walk(tuple(counts))
+
+
+def block_zero_by_count(tau, s):
+    """Each block's zero-sum probability as the exact count of vanishing
+    unit scalings, from the patterns of <v_i, y> = 0 over the support."""
+    fld, ell, q = tau.field, tau.ell, tau.field.q
+    orth = linalg.matmul(fld, linalg.all_vectors(ell, q), tau.support_matrix().T) == 0
+    rows, mult = np.unique(orth, axis=0, return_counts=True)
+    patterns = list(zip(mult.tolist(), rows.tolist()))
+
+    @functools.cache
+    def block_zero(comp):
+        total = sum(m * math.prod((q - 1 if o else -1) ** k for o, k in zip(row, comp))
+                    for m, row in patterns)
+        return total // q ** ell / (q - 1) ** s
+
+    return block_zero
+
+
 def exact_layer_prob_oracle(tau, n, s):
     """The layer probability by the same block DP, with each block's
     zero-sum probability from repeated index-addition convolutions of the
@@ -278,20 +318,7 @@ def exact_layer_prob_oracle(tau, n, s):
                 acc = nxt
         return float(acc[0])
 
-    @functools.cache
-    def walk(rem):
-        if sum(rem) == 0:
-            return 1.0
-        total = 0.0
-        for comp in itertools.product(*(range(c + 1) for c in rem)):
-            if sum(comp) != s:
-                continue
-            weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
-            nxt = tuple(c - k for c, k in zip(rem, comp))
-            total += weight / math.comb(sum(rem), s) * block_zero_prob(comp) * walk(nxt)
-        return total
-
-    return walk(tuple(counts))
+    return walk_oracle(counts, s, block_zero_prob)
 
 
 LAYER_SHAPES = [
@@ -320,6 +347,8 @@ def test_exact_layer_prob_matches_oracle(fld, ell, data):
     want = exact_layer_prob_oracle(tau, n, s)
     assert (got == 0) == (want == 0)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+    counts = [int(m * n) for _, m in tau.masses]
+    assert got == walk_oracle(counts, s, block_zero_by_count(tau, s))
 
 
 def test_exact_layer_prob_guards():
@@ -331,6 +360,17 @@ def test_exact_layer_prob_guards():
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     with pytest.raises(DivisibilityViolation):
         fourier.exact_layer_prob(tau, 10, 3)
+
+
+def test_exact_layer_prob_state_guard(monkeypatch):
+    tau1 = make_tau(F3, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    tau2 = make_tau(F3, 2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4),
+                            (2, 0): Fraction(1, 4)})
+    monkeypatch.setattr(gvdistance, "STATE_GUARD", 20)
+    for tau in (tau1, tau2):
+        assert 0 < fourier.exact_layer_prob(tau, 4, 2) < 1
+        with pytest.raises(StateSpaceTooLarge):
+            fourier.exact_layer_prob(tau, 48, 3)
 
 
 def test_ldpc_contain_bound_report():

@@ -184,6 +184,51 @@ def test_p_lambda_exact_vs_permutation_oracle(q, w):
         assert got == pytest.approx(float(params.t) * math.log(oracle, q), abs=1e-10)
 
 
+def weight_layer_prob_oracle(q, n, s, w):
+    """The weight DP as a plain loop over every nonzero count x, from the
+    last block back, with hypergeometric weights; the iteration order and
+    float operations `layer_prob` must reproduce bit for bit."""
+    r = gv.zero_sum_probs(q, s)
+    blocks = n // s
+    # after[x]: probability that the blocks after the current one
+    # annihilate x nonzero coordinates (past the last block, only x = 0)
+    after = [1.0]
+    for b in range(blocks - 1, -1, -1):
+        n_rem = (blocks - b) * s
+        cur = []
+        for x in range(min(w, n_rem) + 1):
+            total = 0.0
+            for k in range(max(0, x - (n_rem - s)), min(s, x) + 1):
+                if r[k] == 0.0:
+                    continue
+                pk = math.comb(x, k) * math.comb(n_rem - x, s - k) / math.comb(n_rem, s)
+                total += pk * r[k] * after[x - k]
+            cur.append(total)
+        after = cur
+    return after[w]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 16])
+def test_weight_layer_prob_matches_loop_oracle(q):
+    for s in (2, 3, 4, 6):
+        for blocks in (1, 2, 5, 9):
+            n = s * blocks
+            for w in range(n + 1):
+                assert gv.weight_layer_prob(q, n, s, w) == weight_layer_prob_oracle(q, n, s, w)
+    # a thousand blocks: the DP does not recurse
+    assert gv.weight_layer_prob(3, 3000, 3, 2) == weight_layer_prob_oracle(3, 3000, 3, 2)
+
+
+def test_layer_dp_state_guard(monkeypatch):
+    params = gv.GvParams(3, 3, Fraction(1, 3), 0.2, 0.1)
+    # n = 60, s = 3, w = 30 reaches 311 states
+    assert gv.p_lambda_exact(0.5, 60, params) < 0
+    monkeypatch.setattr(gv, "STATE_GUARD", 100)
+    with pytest.raises(StateSpaceTooLarge):
+        gv.p_lambda_exact(0.5, 60, params)
+    assert gv.p_lambda_exact(2 / 6, 6, params) < 0
+
+
 def test_p_lambda_exact_guards():
     params = gv.GvParams(2, 3, Fraction(1, 3), 0.2, 0.1)
     with pytest.raises(PreconditionViolated):
