@@ -3,9 +3,11 @@
 The LDPC ensemble stacks t = (1-R)*s independent layers; each layer
 partitions the n coordinates into n/s parity checks via a uniform
 permutation and scales every coordinate by a uniform nonzero element.  One
-batched layer sampler serves both `sample_ldpc` (one trial) and the Monte
-Carlo estimator (many).  Sampling is driven by a counter-based PRNG (numpy
-Philox keyed on the 64-bit seed), so a (params, seed) pair reproduces a code
+batched layer sampler draws each layer's sort keys and units: `sample_ldpc`
+(one trial) orders the keys by a stable argsort, and the Monte Carlo
+estimator (many) finds the slot of each of M's nonzero rows by counting
+smaller keys.  Sampling is driven by a counter-based PRNG (numpy Philox
+keyed on the 64-bit seed), so a (params, seed) pair reproduces a code
 bit-for-bit and Monte Carlo workers can partition seed space
 deterministically.
 """
@@ -135,31 +137,36 @@ class LinearCode:
         return cls(fld, linalg.as_matrix(hmat, fld), *rest)
 
 
-def sample_rlc(n: int, rate: Fraction, fld: Field, seed: int) -> LinearCode:
-    """Kernel of a uniformly random (1-R)n x n matrix over F_q."""
+def _rlc_rows(n: int, rate: Fraction) -> int:
+    """The (1-R)n rows of a random linear code's parity-check matrix."""
     rate = Fraction(rate)
     if not (0 < rate < 1):
         raise BadRate(f"rate must be in (0,1), got {rate}")
     if (rate * n).denominator != 1:
         raise BadRate(f"R*n = {rate * n} is not an integer")
-    m = int((1 - rate) * n)
+    return int((1 - rate) * n)
+
+
+def sample_rlc(n: int, rate: Fraction, fld: Field, seed: int) -> LinearCode:
+    """Kernel of a uniformly random (1-R)n x n matrix over F_q."""
+    m = _rlc_rows(n, rate)
     rng = make_rng(seed)
     h = rng.integers(0, fld.q, size=(m, n)).astype(np.int64)
     return LinearCode(fld, h, 0, rate, seed)
 
 
 def _layer_draws(params: LdpcEnsembleParams, rng: np.random.Generator, trials: int):
-    """Yield the t layers of `trials` independent codes as (perms, scalars).
+    """Yield the t layers of `trials` independent codes as (keys, units).
 
-    Both arrays are (trials, n): a uniform permutation of [0, n) per trial,
-    and a uniform unit per permuted position (for q = 2 the only unit is 1,
-    and `integers(1, 2)` consumes no random bits).  Check i of a layer
-    holds the positions perms[i*s:(i+1)*s], scaled by the matching scalars.
+    Both arrays are (trials, n): uniform sort keys, whose stable argsort
+    is a uniform permutation of [0, n), and a uniform unit per permuted
+    position (for q = 2 the only unit is 1, and `integers(1, 2)` consumes
+    no random bits).  Check i of a layer holds the coordinates at slots
+    [i*s, (i+1)*s) of that permutation, scaled by the units at those slots.
     """
     n, q = params.n, params.field.q
     for _ in range(params.t):
-        perms = np.argsort(rng.random(size=(trials, n)), axis=1)
-        yield perms, rng.integers(1, q, size=(trials, n))
+        yield rng.random(size=(trials, n)), rng.integers(1, q, size=(trials, n))
 
 
 def sample_ldpc(params: LdpcEnsembleParams, seed: int) -> LinearCode:
@@ -167,8 +174,8 @@ def sample_ldpc(params: LdpcEnsembleParams, seed: int) -> LinearCode:
     n, blocks = params.n, params.checks_per_layer
     h = np.zeros((params.t * blocks, n), dtype=np.int64)
     check = np.arange(n) // params.s  # check of each permuted position
-    for j, (perms, scalars) in enumerate(_layer_draws(params, make_rng(seed), 1)):
-        h[j * blocks + check, perms[0]] = scalars[0]
+    for j, (keys, units) in enumerate(_layer_draws(params, make_rng(seed), 1)):
+        h[j * blocks + check, np.argsort(keys[0], kind="stable")] = units[0]
     return LinearCode(params.field, h, params.s, params.rate, seed)
 
 
@@ -451,6 +458,11 @@ def _most_frequent(keys: np.ndarray) -> tuple[int, int]:
 # Monte Carlo containment estimators
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise PreconditionViolated(f"trials must be at least 1, got {trials}")
+
+
 def mc_rlc_contains(
     m: np.ndarray,
     rate: Fraction,
@@ -463,9 +475,10 @@ def mc_rlc_contains(
     A fresh uniform parity-check matrix is drawn per trial and M is
     contained iff H.M = 0; trials are batched RLC_CHUNK at a time.
     """
-    m = np.asarray(m, dtype=np.int64)
+    m = linalg.as_matrix(m, fld)
     n, ell = m.shape
-    rows = int((1 - Fraction(rate)) * n)
+    rows = _rlc_rows(n, rate)
+    _check_trials(trials)
     rng = make_rng(seed)
     hits = 0
     for start in range(0, trials, RLC_CHUNK):
@@ -476,6 +489,14 @@ def mc_rlc_contains(
     return hits / trials
 
 
+def _slots(keys: np.ndarray, i: int) -> np.ndarray:
+    """Slot of coordinate i in the stable argsort of each column of the
+    (n, trials) `keys`: the keys below its own, plus the equal keys at a
+    lower index."""
+    return (np.count_nonzero(keys[:i] <= keys[i], axis=0)
+            + np.count_nonzero(keys[i + 1:] < keys[i], axis=0))
+
+
 def mc_ldpc_contains(
     m: np.ndarray,
     params: LdpcEnsembleParams,
@@ -484,28 +505,39 @@ def mc_ldpc_contains(
 ) -> float:
     """Fraction of sampled s-LDPC codes containing M.
 
-    Per layer, M is annihilated iff every check's scaled row sum vanishes;
-    the layers of LDPC_CHUNK trials at a time come from the batched sampler
+    Per layer, M is annihilated iff every check's scaled row sum vanishes.
+    The layers of LDPC_CHUNK trials at a time come from the batched sampler
     that `sample_ldpc` uses, so one trial at `seed` tests exactly the code
-    `sample_ldpc(params, seed)`.
+    `sample_ldpc(params, seed)`.  Every layer draws for the whole chunk, but
+    only M's nonzero rows and the trials no earlier layer rejected are
+    summed: the slot of coordinate i in a trial's permutation is the number
+    of keys below its own, ties broken by index as the stable argsort does,
+    and its unit multiple of row i goes to check slot // s.
     """
-    m = np.asarray(m, dtype=np.int64)
-    n, ell = m.shape
-    if n != params.n:
-        raise LengthMismatch(f"M has {n} rows, params.n = {params.n}")
     fld = params.field
-    s, blocks = params.s, params.checks_per_layer
+    m = linalg.as_matrix(m, fld)
+    if m.shape[0] != params.n:
+        raise LengthMismatch(f"M has {m.shape[0]} rows, params.n = {params.n}")
+    _check_trials(trials)
+    supp = np.flatnonzero(m.any(axis=1))
+    multiples = _unit_multiples(fld, m[supp])  # (rows, q-1, width)
+    add = np.bitwise_xor if fld.q == 2 else fld.add
     rng = make_rng(seed)
     hits = 0
     for start in range(0, trials, LDPC_CHUNK):
         b = min(LDPC_CHUNK, trials - start)
-        ok = np.ones(b, dtype=bool)
-        for perms, scalars in _layer_draws(params, rng, b):
-            rows = fld.mul(m[perms], scalars[:, :, None])  # (b, n, ell)
-            checks = rows.reshape(b, blocks, s, ell)
-            sums = checks[:, :, 0]
-            for j in range(1, s):
-                sums = fld.add(sums, checks[:, :, j])
-            ok &= ~sums.any(axis=(1, 2))
-        hits += int(np.count_nonzero(ok))
+        alive = np.arange(b)
+        for keys, units in _layer_draws(params, rng, b):
+            # the alive trials' keys, one contiguous row per coordinate
+            keys = np.ascontiguousarray((keys if len(alive) == b else keys[alive]).T)
+            trial = np.arange(len(alive))
+            sums = np.zeros((params.checks_per_layer, multiples.shape[2], len(alive)),
+                            dtype=multiples.dtype)
+            for j, i in enumerate(supp):
+                slot = _slots(keys, i)
+                check = slot // params.s
+                sums[check, :, trial] = add(sums[check, :, trial],
+                                            multiples[j, units[alive, slot] - 1])
+            alive = alive[~sums.any(axis=(0, 1))]
+        hits += len(alive)
     return hits / trials

@@ -416,15 +416,106 @@ def test_mc_contains_trivial_cases():
     assert a == b
 
 
+def test_mc_contains_rejects_zero_trials():
+    m = np.zeros((12, 1), dtype=np.int64)
+    params = ensembles.LdpcEnsembleParams(F2, 12, 3, Fraction(1, 3))
+    with pytest.raises(PreconditionViolated):
+        ensembles.mc_ldpc_contains(m, params, 0, 0)
+    with pytest.raises(PreconditionViolated):
+        ensembles.mc_rlc_contains(m, Fraction(1, 3), F2, 0, 0)
+
+
+def test_mc_contains_rejects_entries_outside_the_field():
+    m = np.zeros((12, 1), dtype=np.int64)
+    m[:3, 0] = [1, 5, 1]
+    params = ensembles.LdpcEnsembleParams(F2, 12, 3, Fraction(1, 3))
+    with pytest.raises(MalformedInput):
+        ensembles.mc_ldpc_contains(m, params, 100, 0)
+    with pytest.raises(MalformedInput):
+        ensembles.mc_rlc_contains(m, Fraction(1, 3), F2, 100, 0)
+
+
+def test_mc_rlc_contains_rejects_fractional_check_count():
+    # (1 - 1/3) * 10 is not an integer, as in sample_rlc
+    with pytest.raises(BadRate):
+        ensembles.mc_rlc_contains(np.zeros((10, 1), dtype=np.int64), Fraction(1, 3), F2, 100, 0)
+
+
 def test_layer_draws_are_permutations_and_units():
     for fld in (F2, F3, field_new(2, 2), field_new(7)):
         params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
         layers = list(ensembles._layer_draws(params, ensembles.make_rng(0), 50))
         assert len(layers) == params.t
-        for perms, scalars in layers:
-            assert perms.shape == scalars.shape == (50, 12)
+        for keys, units in layers:
+            assert keys.shape == units.shape == (50, 12)
+            assert np.all((keys >= 0) & (keys < 1))
+            perms = np.argsort(keys, axis=1, kind="stable")
             assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(12), (50, 1)))
-            assert np.all((scalars >= 1) & (scalars < fld.q))
+            assert np.all((units >= 1) & (units < fld.q))
+        # a one-trial draw is the layer stack of sample_ldpc at the same seed
+        h = np.zeros((params.t * params.checks_per_layer, 12), dtype=np.int64)
+        for j, (keys, units) in enumerate(ensembles._layer_draws(params, ensembles.make_rng(3), 1)):
+            perm = np.argsort(keys[0], kind="stable")
+            for c in range(params.checks_per_layer):
+                cols = perm[c * 3:(c + 1) * 3]
+                h[j * params.checks_per_layer + c, cols] = units[0, c * 3:(c + 1) * 3]
+        assert np.array_equal(h, ensembles.sample_ldpc(params, 3).h)
+
+
+def test_slots_invert_the_stable_argsort():
+    # keys drawn from three values force ties in every column
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 3, size=(12, 200)).astype(np.float64)
+    inverse = np.argsort(np.argsort(keys, axis=0, kind="stable"), axis=0, kind="stable")
+    for i in range(12):
+        assert np.array_equal(ensembles._slots(keys, i), inverse[i])
+
+
+def mc_ldpc_contains_oracle(m, params, trials, seed):
+    """The estimator as a gather of all n rows of M per permuted position,
+    scaled by `fld.mul` and summed over each check, with every trial kept
+    to the last layer: the slow reference for `mc_ldpc_contains`."""
+    fld, s, blocks = params.field, params.s, params.checks_per_layer
+    m = np.asarray(m, dtype=np.int64)
+    ell = m.shape[1]
+    rng = ensembles.make_rng(seed)
+    hits = 0
+    for start in range(0, trials, ensembles.LDPC_CHUNK):
+        b = min(ensembles.LDPC_CHUNK, trials - start)
+        ok = np.ones(b, dtype=bool)
+        for keys, units in ensembles._layer_draws(params, rng, b):
+            perms = np.argsort(keys, axis=1, kind="stable")
+            checks = fld.mul(m[perms], units[:, :, None]).reshape(b, blocks, s, ell)
+            sums = checks[:, :, 0]
+            for j in range(1, s):
+                sums = fld.add(sums, checks[:, :, j])
+            ok &= ~sums.any(axis=(1, 2))
+        hits += int(np.count_nonzero(ok))
+    return hits / trials
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mc_ldpc_contains_matches_oracle(q, data):
+    # M with zero rows, dense M, or the generator of the code sampled at
+    # the estimator's own seed, which one trial tests
+    fld = FIELDS[q] if q < 9 else field_new(3, 2)
+    params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
+    seed = data.draw(st.integers(0, 2 ** 63 - 1), label="seed")
+    kind = data.draw(st.sampled_from(["sparse", "dense", "generator"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="matrix seed"))
+    if kind == "generator":
+        m = ensembles.sample_ldpc(params, seed).generator
+    else:
+        m = rng.integers(0, q, size=(12, data.draw(st.integers(1, 3), label="ell")))
+        if kind == "sparse":
+            m[rng.random(12) < 0.7] = 0
+    trials = data.draw(st.sampled_from([1, 37, ensembles.LDPC_CHUNK + 1]), label="trials")
+    freq = ensembles.mc_ldpc_contains(m, params, trials, seed)
+    assert freq == mc_ldpc_contains_oracle(m, params, trials, seed)
+    if kind == "generator" and trials == 1:
+        assert freq == 1.0
 
 
 @settings(max_examples=50, deadline=None)
