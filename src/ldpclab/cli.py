@@ -16,6 +16,7 @@ import numpy as np
 
 from . import ensembles, fourier, gvdistance, linalg, rowdist
 from .errors import (
+    CodeTooLarge,
     MalformedInput,
     NotInLtau,
     NumericError,
@@ -93,19 +94,53 @@ def load_matrix(path: str) -> tuple[Field, np.ndarray]:
     return fld, linalg.as_matrix(rows, fld)
 
 
-def _feasible_rates(n: int, s: int, points: int, q: int | None = None) -> list[Fraction]:
-    """Evenly spread rates R = k/n with (1-R)s integral when s > 0 and, when
-    q is given, q^k within the codeword enumeration guard."""
-    rates = []
-    for k in range(1, n):
-        r = Fraction(k, n)
-        if (s and ((1 - r) * s).denominator != 1) or (q and q ** k > ensembles.ENUM_GUARD):
-            continue
-        rates.append(r)
+def _feasible_rates(n: int, s: int, points: int, q: int = 1) -> list[Fraction]:
+    """Evenly spread rates R = k/n with (1-R)s = s - ks/n integral and q^k
+    within the codeword enumeration guard."""
+    rates = [Fraction(k, n) for k in range(1, n)
+             if k * s % n == 0 and q ** k <= ensembles.ENUM_GUARD]
     if len(rates) <= points:
         return rates
     picks = np.linspace(0, len(rates) - 1, points).round().astype(int)
     return [rates[i] for i in sorted(set(picks.tolist()))]
+
+
+def _code(fld: Field, n: int, s: int, rate: Fraction, seed: int) -> ensembles.LinearCode:
+    """The layered LDPC code of sparsity s, or a random linear code when s = 0."""
+    if s:
+        return ensembles.sample_ldpc(ensembles.LdpcEnsembleParams(fld, n, s, rate), seed)
+    return ensembles.sample_rlc(n, rate, fld, seed)
+
+
+def _sweep(fld: Field, n: int, s: int, rates: list[Fraction], trials: int, seed: int,
+           statistic) -> list[dict]:
+    """One row per rate: `statistic` of `trials` codes, code i drawn at seed + i.
+
+    Code i is `_code` at s, and its statistic is entry i of `values`.  With
+    s > 0 entry i of `k` is its dimension, and entry i of `rlc` and of
+    `rlc_at_k` is the statistic of a random linear code drawn at seed + i,
+    at the rate and at rate k/n: None when that code trips the enumeration
+    guard.  A guard trip on code i itself stops the sweep.
+    """
+    def compared(rate: Fraction, i: int):
+        try:
+            return statistic(_code(fld, n, 0, rate, seed + i))
+        except CodeTooLarge:
+            return None
+
+    rows = []
+    for rate in rates:
+        row = {"rate": [rate.numerator, rate.denominator]}
+        for i in range(trials):
+            code = _code(fld, n, s, rate, seed + i)
+            cells = {"values": statistic(code)}
+            if s:
+                k = code.dimension
+                cells.update(k=k, rlc=compared(rate, i), rlc_at_k=compared(Fraction(k, n), i))
+            for key, value in cells.items():
+                row.setdefault(key, []).append(value)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -113,58 +148,27 @@ def _feasible_rates(n: int, s: int, points: int, q: int | None = None) -> list[F
 
 
 def cmd_sample(args) -> None:
-    fld = _parse_field(args.field)
-    if args.s:
-        params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, args.rate)
-        code = ensembles.sample_ldpc(params, args.seed)
-    else:
-        code = ensembles.sample_rlc(args.n, args.rate, fld, args.seed)
+    code = _code(_parse_field(args.field), args.n, args.s, args.rate, args.seed)
     _emit(code.to_json(), args.out)
 
 
 def cmd_distance_profile(args) -> None:
+    if args.empirical and args.format == "csv":
+        raise PreconditionError("--empirical writes JSON only; drop --format csv")
     fld = _parse_field(args.field)
     cert = gvdistance.certify_distance(
         fld.q, args.delta, args.eps, args.rate, args.n, args.s or None
     )
-    if args.empirical:
-        params = ensembles.LdpcEnsembleParams(fld, args.n, cert.params.s, args.rate)
-        hist: dict[int, int] = {}
-        for i in range(args.trials):
-            code = ensembles.sample_ldpc(params, args.seed + i)
-            d, _ = ensembles.min_distance(code)
-            w = round(d * args.n)
-            hist[w] = hist.get(w, 0) + 1
-        doc = json.loads(cert.to_json())
-        doc["empirical_min_weight_histogram"] = {str(k): hist[k] for k in sorted(hist)}
-        _emit(json.dumps(doc, indent=1), args.out)
-    elif args.format == "csv":
-        _emit(cert.to_csv(), args.out)
-    else:
-        _emit(cert.to_json(), args.out)
-
-
-def _containment_frequency(
-    tau: rowdist.RowDistribution, n: int, rate: Fraction, trials: int, seed: int
-) -> float:
-    """Fraction of random linear codes containing some matrix with row
-    distribution tau; exhaustive weight check, single-column case only."""
-    if tau.ell != 1:
-        raise PreconditionError(
-            "empirical containment sweep supports single-column distributions only"
-        )
-    if tau.field.q != 2:
-        raise PreconditionError("empirical sweep implemented for q = 2")
-    weight = tau.mass((1,)) * n
-    if weight.denominator != 1:
-        raise NotInLtau(f"tau(1) * n = {weight} is not an integer weight")
-    w = int(weight)
-    hits = 0
-    for i in range(trials):
-        code = ensembles.sample_rlc(n, rate, tau.field, seed + i)
-        if ensembles.has_codeword_of_weight(code, w):
-            hits += 1
-    return hits / trials
+    if not args.empirical:
+        _emit(cert.to_csv() if args.format == "csv" else cert.to_json(), args.out)
+        return
+    [row] = _sweep(fld, args.n, cert.params.s, [args.rate], args.trials, args.seed,
+                   lambda code: round(ensembles.min_distance(code)[0] * args.n))
+    weights = row.pop("values")
+    doc = json.loads(cert.to_json())
+    doc["empirical_min_weight_histogram"] = {str(w): weights.count(w) for w in sorted(set(weights))}
+    doc.update(row)
+    _emit(json.dumps(doc, indent=1), args.out)
 
 
 def cmd_threshold(args) -> None:
@@ -172,11 +176,17 @@ def cmd_threshold(args) -> None:
     report = rowdist.rstar(tau)
     doc = json.loads(report.to_json())
     if args.empirical:
-        sweep = []
-        for rate in _feasible_rates(args.n, 0, 12, tau.field.q):
-            freq = _containment_frequency(tau, args.n, rate, args.trials, args.seed)
-            sweep.append({"rate": [rate.numerator, rate.denominator], "frequency": freq})
-        doc["empirical_sweep"] = sweep
+        if tau.ell != 1 or tau.field.q != 2:
+            raise PreconditionError("the empirical sweep takes single-column tau over F_2 only")
+        weight = tau.mass((1,)) * args.n
+        if weight.denominator != 1:
+            raise NotInLtau(f"tau(1) * n = {weight} is not an integer weight")
+        rows = _sweep(tau.field, args.n, 0, _feasible_rates(args.n, 0, 12, tau.field.q),
+                      args.trials, args.seed,
+                      lambda code: ensembles.has_codeword_of_weight(code, int(weight)))
+        doc["empirical_sweep"] = [
+            {"rate": row["rate"], "frequency": sum(row["values"]) / args.trials} for row in rows
+        ]
     _emit(json.dumps(doc, indent=1), args.out)
 
 
@@ -204,31 +214,17 @@ def cmd_ldpc_contain(args) -> None:
 
 def cmd_listdecode(args) -> None:
     fld = _parse_field(args.field)
-    rows = []
-    for rate in _feasible_rates(args.n, args.s, 8):
-        sizes = []
-        params = ensembles.LdpcEnsembleParams(fld, args.n, args.s, rate)
-        for i in range(args.trials):
-            code = ensembles.sample_ldpc(params, args.seed + i)
-            sizes.append(ensembles.max_list_size(code, args.alpha).max_list_size)
-        rows.append(
-            {
-                "rate": [rate.numerator, rate.denominator],
-                "max_list_sizes": sizes,
-                "median": float(np.median(sizes)),
-            }
-        )
+    rows = _sweep(fld, args.n, args.s, _feasible_rates(args.n, args.s, 8), args.trials,
+                  args.seed, lambda code: ensembles.max_list_size(code, args.alpha).max_list_size)
+    for row in rows:
+        sizes = row.pop("values")
+        row.update(max_list_sizes=sizes, median=float(np.median(sizes)))
     tau, r_est = rowdist.listdec_threshold_search(
         fld, Fraction(args.alpha).limit_denominator(args.n), args.list_size,
         seed=args.seed,
     )
-    doc = {
-        "alpha": args.alpha,
-        "list_size": args.list_size,
-        "rate_scan": rows,
-        "threshold_upper_estimate": float(r_est),
-        "witness_tau": json.loads(tau.to_json()),
-    }
+    doc = {"alpha": args.alpha, "list_size": args.list_size, "rate_scan": rows,
+           "threshold_upper_estimate": float(r_est), "witness_tau": json.loads(tau.to_json())}
     _emit(json.dumps(doc, indent=1), args.out)
 
 

@@ -144,19 +144,30 @@ class Field:
         prod = _poly_mul(_int_to_poly(a, self.p), _int_to_poly(b, self.p), self.p)
         return _poly_to_int(_poly_mod(prod, self.modulus, self.p), self.p)
 
+    def _pow_schoolbook(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply on schoolbook products."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_schoolbook(out, a)
+            a = self._mul_schoolbook(a, a)
+            e >>= 1
+        return out
+
     def _build_tables(self) -> None:
-        """The first g = 1, 2, ... whose powers (at most q of them) reach
-        order q - 1 is the generator, and its walk is the antilog table."""
+        """The generator is the first g = 1, 2, ... of order q - 1, that is
+        with g^((q-1)/r) != 1 for every prime r | q - 1; its one walk of
+        q - 1 powers is the antilog table."""
         q = self.q
-        for g in range(1, q):
-            exp, x = [1], g
-            while x != 1:
-                if len(exp) == q:
-                    raise RuntimeError("order computation ran away")
-                exp.append(x)
-                x = self._mul_schoolbook(x, g)
-            if len(exp) == q - 1:
-                break
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+        g = next(g for g in range(1, q)
+                 if all(self._pow_schoolbook(g, (q - 1) // r) != 1 for r in primes))
+        exp, x = [1], g
+        for _ in range(q - 2):
+            exp.append(x)
+            x = self._mul_schoolbook(x, g)
+        if x != 1:
+            raise RuntimeError(f"generator {g} has order other than {q - 1}")
         self.generator = g
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.zeros(q, dtype=np.int64)

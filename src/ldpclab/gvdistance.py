@@ -361,14 +361,14 @@ def s0_main(q: int, eps: float, rbar: float, b: int) -> int:
 class DistanceCertificate:
     params: GvParams
     n: int
-    rows: list[tuple[float, float, float, float, float]]  # lam, beta*, psi, phi, alpha
+    rows: list[tuple[float, float, float, float]]  # lam, beta*, phi, alpha
     failure_probability: float
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("lambda,beta_star,psi,phi,alpha\n")
-        for lam, beta, ps, ph, al in self.rows:
-            buf.write(f"{lam:.12g},{beta:.12g},{ps:.12g},{ph:.12g},{al:.12g}\n")
+        buf.write("lambda,beta_star,phi,alpha\n")
+        for lam, beta, ph, al in self.rows:
+            buf.write(f"{lam:.12g},{beta:.12g},{ph:.12g},{al:.12g}\n")
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -398,5 +398,5 @@ def certify_distance(
     for i in range(1, math.floor(delta * n) + 1):
         lam = i / n
         ph, beta = phi(lam, q, s)
-        rows.append((lam, beta, ph, ph, ph / hq(lam, q)))
+        rows.append((lam, beta, ph, ph / hq(lam, q)))
     return DistanceCertificate(params, n, rows, failure_bound(params, n))

@@ -44,7 +44,7 @@ def test_distance_profile_formats(tmp_path):
     csv_out = tmp_path / "prof.csv"
     assert run(base + ["--format", "csv", "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().splitlines()
-    assert lines[0] == "lambda,beta_star,psi,phi,alpha"
+    assert lines[0] == "lambda,beta_star,phi,alpha"
     assert len(lines) == 4  # floor(0.05 * 60) = 3 weights
     json_out = tmp_path / "prof.json"
     assert run(base + ["--out", str(json_out)]) == 0
@@ -73,6 +73,51 @@ def test_distance_profile_empirical_past_message_enumeration(tmp_path):
     assert run(argv) == 0
     hist = json.loads(out.read_text())["empirical_min_weight_histogram"]
     assert sum(hist.values()) == 2
+
+
+def min_weight(code):
+    return round(ensembles.min_distance(code)[0] * code.n)
+
+
+def test_distance_profile_sweep_matches_library(tmp_path):
+    # code i of each ensemble is the library's draw at seed + i
+    out = tmp_path / "emp.json"
+    assert run(["distance-profile", "--field", "2", "--n", "24", "--rate", "1/3",
+                "--delta", "0.1", "--eps", "0.1", "--s", "6", "--empirical",
+                "--trials", "4", "--seed", "5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    params = ensembles.LdpcEnsembleParams(F2, 24, 6, Fraction(1, 3))
+    weights = []
+    for i in range(4):
+        code = ensembles.sample_ldpc(params, 5 + i)
+        k = code.dimension
+        at_k = ensembles.sample_rlc(24, Fraction(k, 24), F2, 5 + i)
+        assert doc["k"][i] == k and at_k.dimension >= k
+        assert doc["rlc"][i] == min_weight(ensembles.sample_rlc(24, Fraction(1, 3), F2, 5 + i))
+        assert doc["rlc_at_k"][i] == min_weight(at_k)
+        weights.append(min_weight(code))
+    hist = doc["empirical_min_weight_histogram"]
+    assert hist == {str(w): weights.count(w) for w in set(weights)}
+    assert list(hist) == sorted(hist, key=int)
+
+
+def test_sweep_comparison_past_guard_is_null(tmp_path):
+    # at n = 108 the LDPC code (k = 39) and the RLC at R = 1/3 (k = 36) have
+    # exact minimum distances; the RLC at k = 39 needs more messages than
+    # the enumeration guard allows
+    out = tmp_path / "emp.json"
+    assert run(["distance-profile", "--field", "2", "--n", "108", "--rate", "1/3",
+                "--delta", "0.05", "--eps", "0.1", "--s", "6", "--empirical",
+                "--trials", "1", "--seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["k"] == [39] and doc["rlc_at_k"] == [None]
+    assert doc["rlc"][0] > 0 and sum(doc["empirical_min_weight_histogram"].values()) == 1
+
+
+def test_distance_profile_empirical_rejects_csv():
+    assert_bad_input(["distance-profile", "--field", "2", "--n", "12", "--rate", "1/3",
+                      "--delta", "0.1", "--eps", "0.1", "--s", "3", "--empirical",
+                      "--trials", "1", "--format", "csv", "--seed", "0"])
 
 
 def example_tau_file(tmp_path):
@@ -235,6 +280,50 @@ def test_threshold_empirical_at_default_n(tmp_path):
     rates = [Fraction(*row["rate"]) for row in sweep]
     assert len(rates) == 12 and max(rates) == Fraction(1, 2)
     assert all(2 ** (r * 48) <= ensembles.ENUM_GUARD for r in rates)
+
+
+def list_size(code):
+    return ensembles.max_list_size(code, 0.2).max_list_size
+
+
+def test_listdecode_sweep_matches_library(tmp_path):
+    f3 = field_new(3)
+    out = tmp_path / "ld.json"
+    assert run(["listdecode", "--field", "3", "--n", "12", "--s", "3", "--alpha", "0.2",
+                "--trials", "2", "--seed", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rate_scan"]
+    assert [Fraction(*row["rate"]) for row in rows] == [Fraction(1, 3), Fraction(2, 3)]
+    for row in rows:
+        rate = Fraction(*row["rate"])
+        params = ensembles.LdpcEnsembleParams(f3, 12, 3, rate)
+        for i in range(2):
+            code = ensembles.sample_ldpc(params, 1 + i)
+            k = code.dimension
+            at_k = ensembles.sample_rlc(12, Fraction(k, 12), f3, 1 + i)
+            assert row["k"][i] == k and at_k.dimension >= k
+            assert row["max_list_sizes"][i] == list_size(code)
+            assert row["rlc"][i] == list_size(ensembles.sample_rlc(12, rate, f3, 1 + i))
+            assert row["rlc_at_k"][i] == list_size(at_k)
+        assert row["median"] == float(np.median(row["max_list_sizes"]))
+
+
+def test_threshold_sweep_matches_library(tmp_path):
+    # s = 0: the sweep draws only random linear codes, as `sample --s 0`
+    tau = rowdist.RowDistribution.from_dict(
+        F2, 1, {(0,): Fraction(3, 4), (1,): Fraction(1, 4)})
+    path = tmp_path / "tau.json"
+    path.write_text(tau.to_json())
+    out = tmp_path / "sweep.json"
+    assert run(["threshold", "--tau", str(path), "--empirical", "--n", "16", "--trials", "3",
+                "--seed", "4", "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())["empirical_sweep"]
+    assert len(sweep) == 12
+    for row in sweep:
+        assert set(row) == {"rate", "frequency"}
+        rate = Fraction(*row["rate"])
+        hits = sum(ensembles.has_codeword_of_weight(ensembles.sample_rlc(16, rate, F2, 4 + i), 4)
+                   for i in range(3))
+        assert row["frequency"] == hits / 3
 
 
 def test_listdecode_past_center_enumeration(tmp_path):

@@ -134,6 +134,27 @@ def test_generator_order():
         assert len(seen) == f.q - 1
 
 
+def generator_by_full_walk(f):
+    """The first g = 1, 2, ... whose schoolbook powers reach order q - 1,
+    found by walking every candidate's powers, with that walk."""
+    for g in range(1, f.q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = f._mul_schoolbook(x, g)
+        if len(exp) == f.q - 1:
+            return g, exp
+    raise AssertionError("no generator")
+
+
+@pytest.mark.parametrize("p,h", TRACE_FIELDS + [(2, 10), (3, 6), (17, 1), (257, 1)])
+def test_generator_matches_full_walk(p, h):
+    f = field_new(p, h)
+    g, exp = generator_by_full_walk(f)
+    assert f.generator == g
+    assert f._exp.tolist() == exp
+
+
 def test_construction_errors():
     with pytest.raises(NonPrime):
         Field(4, 1)

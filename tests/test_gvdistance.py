@@ -298,10 +298,10 @@ def test_s0_main_and_smoothness():
 def test_certificate_outputs():
     cert = gv.certify_distance(2, 0.05, 0.1, Fraction(1, 3), 120, s=25)
     assert len(cert.rows) == 6
-    alphas = [r[4] for r in cert.rows]
+    alphas = [r[3] for r in cert.rows]
     assert all(a2 > a1 for a1, a2 in zip(alphas, alphas[1:]))
     csv = cert.to_csv()
-    assert csv.splitlines()[0] == "lambda,beta_star,psi,phi,alpha"
+    assert csv.splitlines()[0] == "lambda,beta_star,phi,alpha"
     assert len(csv.splitlines()) == 7
     import json
     doc = json.loads(cert.to_json())
