@@ -22,6 +22,7 @@ from .errors import (
     NumericError,
     PreconditionError,
     ResourceGuardError,
+    StateSpaceTooLarge,
 )
 from .gf import Field, field_new
 
@@ -119,8 +120,9 @@ def _sweep(fld: Field, n: int, s: int, rates: list[Fraction], trials: int, seed:
     Code i is `_code` at s, and its statistic is entry i of `values`.  With
     s > 0 entry i of `k` is its dimension, and entry i of `rlc` and of
     `rlc_at_k` is the statistic of a random linear code drawn at seed + i,
-    at the rate and at rate k/n: None when that code trips the enumeration
-    guard.  A guard trip on code i itself stops the sweep.
+    at the rate and at rate k/n (the same code when k/n is the rate): None
+    when that code trips the enumeration guard.  A guard trip on code i
+    itself stops the sweep.
     """
     def compared(rate: Fraction, i: int):
         try:
@@ -135,8 +137,9 @@ def _sweep(fld: Field, n: int, s: int, rates: list[Fraction], trials: int, seed:
             code = _code(fld, n, s, rate, seed + i)
             cells = {"values": statistic(code)}
             if s:
-                k = code.dimension
-                cells.update(k=k, rlc=compared(rate, i), rlc_at_k=compared(Fraction(k, n), i))
+                k, rlc = code.dimension, compared(rate, i)
+                at_k = rlc if Fraction(k, n) == rate else compared(Fraction(k, n), i)
+                cells.update(k=k, rlc=rlc, rlc_at_k=at_k)
             for key, value in cells.items():
                 row.setdefault(key, []).append(value)
         rows.append(row)
@@ -200,7 +203,7 @@ def cmd_ldpc_contain(args) -> None:
     try:
         layer = fourier.exact_layer_prob(tau, n, args.s)
         doc["exact_probability"] = layer ** params.t
-    except ResourceGuardError:
+    except StateSpaceTooLarge:
         doc["exact_probability"] = None
     if args.trials:
         freq = ensembles.mc_ldpc_contains(m, params, args.trials, args.seed)

@@ -72,7 +72,7 @@ class KernelFullSpace(PreconditionError):
     pass
 
 
-class TooManyDualVectors(ResourceGuardError):
+class TableTooLarge(ResourceGuardError):
     pass
 
 
@@ -85,10 +85,6 @@ class SearchBudgetExhausted(ResourceGuardError):
 
 
 # --- fourier ---
-
-class TableTooLarge(ResourceGuardError):
-    pass
-
 
 class NonRealResult(NumericError):
     pass

@@ -11,11 +11,11 @@ probability counts vanishing unit scalings per block as exact integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,21 +30,12 @@ from .errors import (
     NotSmooth,
     NotSmoothEnough,
     PreconditionViolated,
-    StateSpaceTooLarge,
-    TableTooLarge,
 )
 from .gf import Field
-from .rowdist import RowDistribution, entropy_q, row_distribution_of, smoothness
+from .rowdist import (RowDistribution, entropy_q, orthogonality, row_distribution_of,
+                      smoothness, table_rows)
 
-TABLE_GUARD = 10 ** 6
 IMAG_TOL = 1e-10
-
-
-def _check_table(field: Field, ell: int) -> int:
-    size = field.q ** ell
-    if size > TABLE_GUARD:
-        raise TableTooLarge(f"q^l = {field.q}^{ell} exceeds {TABLE_GUARD}")
-    return size
 
 
 @dataclass
@@ -58,8 +49,7 @@ class ComplexDistribution:
 
     @staticmethod
     def zeros(field: Field, ell: int) -> "ComplexDistribution":
-        size = _check_table(field, ell)
-        return ComplexDistribution(field, ell, np.zeros(size, dtype=np.complex128))
+        return ComplexDistribution(field, ell, np.zeros(table_rows(field, ell), np.complex128))
 
     def is_probability(self, tol: float = 1e-12) -> bool:
         v = self.values
@@ -92,7 +82,7 @@ def fourier_transform(f: ComplexDistribution) -> ComplexDistribution:
     p^a), so fhat(y) is read at k = T d(y); for prime q, T = [[1]].
     """
     fld, ell = f.field, f.ell
-    size = _check_table(fld, ell)
+    size = table_rows(fld, ell)
     spectrum = np.fft.fftn(f.values.reshape((fld.p,) * (fld.h * ell), order="F"))
     # dual[y] encodes T d(y): digit a is tr(beta^a y)
     powers = fld.p ** np.arange(fld.h)
@@ -187,20 +177,10 @@ def ldpc_contain_bound(
         log_multinomial -= math.log(math.factorial(int(mass * n)), q)
     conditioning = n * float(entropy_q(tau)) - log_multinomial
     layer = (n // s) * per_block + conditioning
-    t = int(params.t)
-    rate = params.rate
-    return LdpcBoundReport(
-        n=n,
-        ell=ell,
-        s=s,
-        rate=rate,
-        delta=delta,
-        per_block_log=per_block,
-        conditioning_log=conditioning,
-        layer_log=layer,
-        log_q_bound=t * layer,
-        target_log=-(1 - eps) * float(1 - rate) * ell * n,
-    )
+    return LdpcBoundReport(n=n, ell=ell, s=s, rate=params.rate, delta=delta,
+                           per_block_log=per_block, conditioning_log=conditioning, layer_log=layer,
+                           log_q_bound=int(params.t) * layer,
+                           target_log=-(1 - eps) * float(1 - params.rate) * ell * n)
 
 
 def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
@@ -213,8 +193,7 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     DP `gvdistance.layer_prob` walks the blocks.  For l = 1 only the
     nonzero count matters and `gvdistance.weight_layer_prob` applies.
     """
-    fld = tau.field
-    q = fld.q
+    q = tau.field.q
     if n % s != 0:
         raise DivisibilityViolation(f"s = {s} does not divide n = {n}")
     counts = []
@@ -223,32 +202,22 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
         if c.denominator != 1:
             raise NotInLtau(f"tau({v}) * n = {c} is not an integer")
         counts.append(int(c))
-    supp = tau.support()
-
     if tau.ell == 1:
-        w = sum(c for (v,), c in zip(supp, counts) if v != 0)
+        w = sum(c for (v,), c in zip(tau.support(), counts) if v != 0)
         return gvdistance.weight_layer_prob(q, n, s, w)
 
-    if len(supp) > 6 or n // s > 16:
-        raise StateSpaceTooLarge(
-            f"support {len(supp)}, n/s = {n // s} beyond the DP guard"
-        )
-    _check_table(fld, tau.ell)
     # each pattern of <v_i, y> = 0 over the support, with how many y have it
-    orth = linalg.matmul(fld, linalg.all_vectors(tau.ell, q), tau.support_matrix().T) == 0
-    rows, mult = np.unique(orth, axis=0, return_counts=True)
-    patterns = list(zip(mult.tolist(), rows.tolist()))
-
-    @lru_cache(maxsize=None)
-    def block_zero_prob(comp: tuple[int, ...]) -> float:
-        # The twist of a point mass at v has transform q^-l on y with
-        # <v, y> = 0 and -q^-l/(q-1) elsewhere, so a block holding k_i
-        # copies of v_i vanishes for q^-l sum_y prod_i c_i(y)^k_i of its
-        # (q-1)^s unit scalings, with c_i(y) = q-1 or -1 accordingly.
-        total = sum(
-            m * math.prod((q - 1 if o else -1) ** k for o, k in zip(row, comp))
-            for m, row in patterns
-        )
-        return total // q ** tau.ell / (q - 1) ** s
-
-    return gvdistance.layer_prob(counts, s, block_zero_prob)
+    rows, mult = np.unique(orthogonality(tau), axis=0, return_counts=True)
+    # the first block meets every composition of s under min(counts, s), later blocks fewer
+    comps = list(itertools.islice(gvdistance.compositions(s, tuple(min(c, s) for c in counts)),
+                                  gvdistance.WORK_GUARD // len(mult) + 1))
+    gvdistance.check_work(len(comps) * len(mult), "block pattern entries")
+    # The twist of a point mass at v has transform q^-l on y with <v, y> = 0 and
+    # -q^-l/(q-1) elsewhere, so a block holding k_i copies of v_i vanishes for
+    # q^-l sum_y prod_i c_i(y)^k_i of its (q-1)^s unit scalings, c_i(y) = q-1 or -1
+    # accordingly: a y orthogonal to a of the block's rows adds (q-1)^a (-1)^(s-a).
+    orth = np.array(comps, dtype=np.int64).reshape(-1, len(counts)) @ rows.T
+    totals = sum(((orth == a) @ mult).astype(object) * ((q - 1) ** a * (-1) ** (s - a))
+                 for a in range(s + 1))
+    zero = {c: int(t) // q ** tau.ell / (q - 1) ** s for c, t in zip(comps, totals)}
+    return gvdistance.layer_prob(counts, s, zero.__getitem__)

@@ -15,6 +15,7 @@ delta*n turns it into a failure-probability certificate for distance delta.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import operator
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from .errors import (
     BisectionNoBracket,
+    DivisibilityViolation,
     NoCertifiableS,
     NonIntegralWeight,
     OutOfDomain,
@@ -31,7 +33,7 @@ from .errors import (
 )
 
 BISECT_TOL = 1e-12
-STATE_GUARD = 2 * 10 ** 6
+WORK_GUARD = 10 ** 6  # composition entries one layer DP may examine
 
 
 def hq(x: float, q: int) -> float:
@@ -76,12 +78,33 @@ def zero_sum_probs(q: int, kmax: int) -> list[float]:
     return r[: kmax + 1]
 
 
-def compositions(total: int, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Vectors k <= caps with sum total, in lexicographic order."""
-    heads = [()]
-    for cap in caps[:-1]:
-        heads = [h + (k,) for h in heads for k in range(min(total - sum(h), cap) + 1)]
-    return [h + (total - sum(h),) for h in heads if total - sum(h) <= caps[-1]]
+def compositions(total: int, caps: tuple[int, ...]):
+    """Vectors k <= caps with sum total, lazily in lexicographic order: an
+    odometer that raises the last entry it can and refills the rest least."""
+    if total > sum(caps):
+        return
+    room = list(itertools.accumulate(caps[:0:-1], initial=0))[::-1]  # sum(caps[i + 1:])
+    k, i, tail = [0] * len(caps), 0, total
+    while True:
+        for j in range(i, len(caps)):
+            k[j] = max(0, tail - room[j])
+            tail -= k[j]
+        yield tuple(k)
+        tail = k[-1]
+        for i in range(len(caps) - 2, -1, -1):
+            if k[i] < caps[i] and tail:
+                break
+            tail += k[i]
+        else:
+            return
+        k[i], i, tail = k[i] + 1, i + 1, tail - 1
+
+
+def check_work(entries: int, what: str) -> None:
+    """Refuse a layer DP that has examined more than WORK_GUARD entries."""
+    if entries > WORK_GUARD:
+        raise StateSpaceTooLarge(
+            f"layer DP examined {entries} {what}, more than WORK_GUARD = {WORK_GUARD}")
 
 
 def layer_prob(counts, s: int, block_zero) -> float:
@@ -93,25 +116,29 @@ def layer_prob(counts, s: int, block_zero) -> float:
     weight prod_i C(rem_i, k_i) / C(sum rem, s).  A forward pass collects
     each block's reachable states and weighted steps; a backward pass
     values them from the last block back.  s must divide sum(counts).
+    Each composition examined at a state costs one entry per row type;
+    past WORK_GUARD entries the DP stops before it lists any more.
     """
+    if sum(counts) % s:
+        raise DivisibilityViolation(f"s = {s} does not divide the {sum(counts)} rows")
     frontier = {tuple(counts): 0}
-    states, levels, comps, s_caps = 1, [], {}, (s,) * len(counts)
+    work, levels, comps, s_caps = 0, [], {}, (s,) * len(counts)
     for _ in range(sum(counts) // s):
         nxt_index, level = {}, []
         for rem in frontier:
             denom, steps = math.comb(sum(rem), s), []  # flat (coefficient, next) pairs
             caps = tuple(map(min, rem, s_caps))
             if caps not in comps:
-                comps[caps] = compositions(s, caps)
+                budget = (WORK_GUARD - work) // len(counts)
+                comps[caps] = list(itertools.islice(compositions(s, caps), budget + 1))
+            work += len(comps[caps]) * len(counts)
+            check_work(work, "composition entries")
             for comp in comps[caps]:
                 z = block_zero(comp)
                 if z == 0.0:
                     continue
                 nxt = tuple(map(operator.sub, rem, comp))
                 if nxt not in nxt_index:
-                    states += 1
-                    if states > STATE_GUARD:
-                        raise StateSpaceTooLarge("allocation DP state count exceeded guard")
                     nxt_index[nxt] = len(nxt_index)
                 weight = math.prod(map(math.comb, rem, comp))
                 steps += (weight / denom * z, nxt_index[nxt])
@@ -135,7 +162,7 @@ def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:
     """Probability that one layer annihilates a fixed weight-w word in F_q^n:
     `layer_prob` on the (nonzero, zero) counts, where a block holding k
     nonzero entries, each scaled by a uniform unit, vanishes with
-    probability r_k.  The caller checks that s divides n."""
+    probability r_k."""
     r = zero_sum_probs(q, s)
     return layer_prob((w, n - w), s, lambda k: r[k[0]])
 
@@ -286,8 +313,6 @@ def p_lambda_exact(lam: float, n: int, params: GvParams) -> float:
     q, s = params.q, params.s
     if n % s != 0:
         raise PreconditionViolated(f"s = {s} does not divide n = {n}")
-    if n // s > 64 or s > 16:
-        raise StateSpaceTooLarge(f"n/s = {n // s}, s = {s} beyond DP guard")
     p1 = weight_layer_prob(q, n, s, _check_weight(lam, n))
     if p1 == 0.0:
         return -math.inf

@@ -24,13 +24,13 @@ from .errors import (
     PreconditionViolated,
     SearchBudgetExhausted,
     SupportTooLarge,
-    TooManyDualVectors,
+    TableTooLarge,
 )
 from .gf import Field, field_new
 
 Real = Union[Fraction, float]
 
-DUAL_ENUM_GUARD = 10 ** 6
+TABLE_GUARD = 10 ** 6  # cells of any dense table indexed by F_q^l
 SEARCH_SUPPORT_CAP, SEARCH_DENOMINATOR = 8, 24  # threshold search: support, mass grain
 
 
@@ -138,22 +138,28 @@ def span_dim(tau: RowDistribution) -> int:
     return linalg.rank(tau.field, tau.support_matrix())
 
 
+def table_rows(field: Field, ell: int, width: int = 1) -> int:
+    """q^l, once a (q^l, width) table over F_q^l is checked against TABLE_GUARD."""
+    rows = field.q ** ell
+    if rows * width > TABLE_GUARD:
+        raise TableTooLarge(f"table over F_{field.q}^{ell} holds {rows * width} cells, "
+                            f"more than TABLE_GUARD = {TABLE_GUARD}")
+    return rows
+
+
+def orthogonality(tau: RowDistribution) -> np.ndarray:
+    """(q^l, |supp|) table of <y, v_i> = 0, row y in vector encoding."""
+    fld, ell = tau.field, tau.ell
+    table_rows(fld, ell, len(tau.masses))
+    return linalg.matmul(fld, linalg.all_vectors(ell, fld.q), tau.support_matrix().T) == 0
+
+
 def smoothness(tau: RowDistribution) -> Fraction:
-    """min over nonzero dual vectors u of Pr_v[<u,v> != 0]."""
-    q, ell = tau.field.q, tau.ell
-    if q ** ell > DUAL_ENUM_GUARD:
-        raise TooManyDualVectors(f"q^l = {q}^{ell} exceeds {DUAL_ENUM_GUARD}")
-    supp = tau.support_matrix()
-    best = Fraction(1)
-    for u_idx in range(1, q ** ell):
-        u = linalg.index_vector(u_idx, ell, q)
-        prods = linalg.matmul(tau.field, supp, u)
-        pr = sum(m for (v, m), p_ in zip(tau.masses, prods) if p_ != 0)
-        if pr < best:
-            best = pr
-            if best == 0:
-                break
-    return best
+    """min over nonzero dual vectors y of Pr_v[<y,v> != 0]: an exact
+    integer dot product of each row of `orthogonality` with the masses."""
+    den = math.lcm(*(m.denominator for _, m in tau.masses))
+    weights = np.array([m.numerator * (den // m.denominator) for _, m in tau.masses], dtype=object)
+    return Fraction(int(((~orthogonality(tau)[1:]) @ weights).min()), den)
 
 
 def implied_distribution(tau: RowDistribution, kernel: np.ndarray) -> RowDistribution:

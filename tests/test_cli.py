@@ -162,6 +162,38 @@ def test_ldpc_contain(tmp_path):
     assert abs(mc["frequency"] - exact) <= 5 * se
 
 
+@pytest.mark.parametrize("n,ones,s,rate,exact", [
+    # 32 blocks of 3 rows; the DP takes about 1 ms
+    (96, [[1, 0], [1, 0], [0, 1], [0, 1]], "3", "1/3", 2.006e-07),
+    # all 16 vectors of F_2^4, 13 each: the work guard trips
+    (208, [[int(b) for b in f"{i:04b}"] for i in range(16)] * 13, "13", "12/13", None),
+    # 20 spanning rows of F_2^15: 1351 block compositions, each over ~32768 patterns
+    (24, [[int(b == a) for b in range(15)] for a in range(15)]
+     + [[int(b in (a, a + 1)) for b in range(15)] for a in range(5)], "3", "1/3", None),
+], ids=["admitted", "work-guard", "block-table"])
+def test_ldpc_contain_exact_null_only_past_work_guard(tmp_path, n, ones, s, rate, exact):
+    rows = ones + [[0] * len(ones[0])] * (n - len(ones))
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"field": {"p": 2, "h": 1}, "rows": rows}))
+    out = tmp_path / "lc.json"
+    assert run(["ldpc-contain", "--matrix", str(mat), "--s", s, "--rate", rate,
+                "--seed", "0", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["exact_probability"]
+    assert got == (exact if exact is None else pytest.approx(exact, rel=1e-3))
+
+
+def test_table_guard_message(tmp_path, capsys):
+    rows = np.eye(24, 20, dtype=np.int64)
+    mat = tmp_path / "m.json"
+    mat.write_text(json.dumps({"field": {"p": 2, "h": 1}, "rows": rows.tolist()}))
+    assert run(["ldpc-contain", "--matrix", str(mat), "--s", "3", "--rate", "1/3",
+                "--seed", "0"]) == 3
+    # 21 distinct rows: the 20 unit vectors and the zero row
+    assert capsys.readouterr().err == (
+        "resource guard: table over F_2^20 holds 22020096 cells, "
+        "more than TABLE_GUARD = 1000000\n")
+
+
 def test_listdecode(tmp_path):
     out = tmp_path / "ld.json"
     assert run(["listdecode", "--field", "2", "--n", "8", "--s", "4",
@@ -305,6 +337,20 @@ def test_listdecode_sweep_matches_library(tmp_path):
             assert row["rlc"][i] == list_size(ensembles.sample_rlc(12, rate, f3, 1 + i))
             assert row["rlc_at_k"][i] == list_size(at_k)
         assert row["median"] == float(np.median(row["max_list_sizes"]))
+
+
+def test_sweep_measures_each_code_once(tmp_path, monkeypatch):
+    # over F_3 the LDPC code has k = Rn, so the RLC at rate k/n is the one at R
+    calls, real = [], ensembles.max_list_size
+    monkeypatch.setattr(ensembles, "max_list_size",
+                        lambda code, alpha: calls.append(code) or real(code, alpha))
+    out = tmp_path / "ld.json"
+    assert run(["listdecode", "--field", "3", "--n", "12", "--s", "3", "--alpha", "0.2",
+                "--trials", "2", "--seed", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rate_scan"]
+    same = [Fraction(k, 12) == Fraction(*row["rate"]) for row in rows for k in row["k"]]
+    assert any(same)
+    assert len(calls) == sum(3 - at_rate for at_rate in same)
 
 
 def test_threshold_sweep_matches_library(tmp_path):

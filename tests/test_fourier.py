@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -355,8 +356,8 @@ def test_exact_layer_prob_guards():
     big = RowDistribution.from_dict(
         F2, 3,
         {tuple(linalg.index_vector(i, 3, 2)): Fraction(1, 8) for i in range(8)})
-    with pytest.raises(StateSpaceTooLarge):
-        fourier.exact_layer_prob(big, 16, 2)
+    assert fourier.exact_layer_prob(big, 16, 2) == walk_oracle(
+        [2] * 8, 2, block_zero_by_count(big, 2))
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     with pytest.raises(DivisibilityViolation):
         fourier.exact_layer_prob(tau, 10, 3)
@@ -366,11 +367,45 @@ def test_exact_layer_prob_state_guard(monkeypatch):
     tau1 = make_tau(F3, 1, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     tau2 = make_tau(F3, 2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4),
                             (2, 0): Fraction(1, 4)})
-    monkeypatch.setattr(gvdistance, "STATE_GUARD", 20)
+    monkeypatch.setattr(gvdistance, "WORK_GUARD", 20)
     for tau in (tau1, tau2):
         assert 0 < fourier.exact_layer_prob(tau, 4, 2) < 1
         with pytest.raises(StateSpaceTooLarge):
             fourier.exact_layer_prob(tau, 48, 3)
+
+
+def spanning_21_types():
+    # 15 unit vectors of F_2^15, five more spanning rows and the zero row
+    # ×4 at n = 24: 32768 dual vectors, nearly all with distinct patterns
+    rows = [tuple(int(a == b) for b in range(15)) for a in range(15)]
+    rows += [tuple(int(b in (a, a + 1)) for b in range(15)) for a in range(5)]
+    return make_tau(F2, 15, {**{v: Fraction(1, 24) for v in rows}, (0,) * 15: Fraction(4, 24)})
+
+
+@pytest.mark.parametrize("case,n,s,quantity", [
+    # six row types at n = 96, s = 6 took 18 s and 379 MiB walked in full
+    ("six", 96, 6, "composition entries"),
+    # sixteen at n = 208, s = 13 have 3.7e7 block compositions
+    ("sixteen", 208, 13, "block pattern entries"),
+    # 1351 block compositions, each scored over about 32768 patterns
+    ("spanning", 24, 3, "block pattern entries"),
+])
+def test_exact_layer_prob_work_guard(case, n, s, quantity):
+    tau = {
+        "six": lambda: make_tau(F2, 3, {(0, 0, 0): Fraction(56, 96), **{
+            v: Fraction(8, 96) for v in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)]}}),
+        "sixteen": lambda: RowDistribution.from_dict(
+            F2, 4, {tuple(linalg.index_vector(i, 4, 2)): Fraction(1, 16) for i in range(16)}),
+        "spanning": spanning_21_types,
+    }[case]()
+    start = time.perf_counter()
+    with pytest.raises(StateSpaceTooLarge) as err:
+        fourier.exact_layer_prob(tau, n, s)
+    assert time.perf_counter() - start < 10  # unguarded, these ran 18 s or more
+    msg = str(err.value)
+    assert msg.startswith("layer DP examined ")
+    assert msg.endswith(f" {quantity}, more than WORK_GUARD = 1000000")
+    assert int(msg.split()[3]) > gvdistance.WORK_GUARD
 
 
 def test_ldpc_contain_bound_report():

@@ -7,6 +7,7 @@ import pytest
 
 from ldpclab import gvdistance as gv
 from ldpclab.errors import (
+    DivisibilityViolation,
     NonIntegralWeight,
     OutOfDomain,
     PreconditionViolated,
@@ -219,11 +220,23 @@ def test_weight_layer_prob_matches_loop_oracle(q):
     assert gv.weight_layer_prob(3, 3000, 3, 2) == weight_layer_prob_oracle(3, 3000, 3, 2)
 
 
+def test_weight_layer_prob_at_the_old_shape_limit():
+    # n/s = 64 and s = 16, the largest shape an n/s and s limit admitted
+    assert gv.weight_layer_prob(3, 1024, 16, 512) == weight_layer_prob_oracle(3, 1024, 16, 512)
+
+
+def test_layer_prob_rejects_partial_blocks():
+    with pytest.raises(DivisibilityViolation):
+        gv.weight_layer_prob(2, 10, 3, 2)
+    with pytest.raises(DivisibilityViolation):
+        gv.layer_prob((1, 2, 2), 2, lambda k: 1.0)
+
+
 def test_layer_dp_state_guard(monkeypatch):
     params = gv.GvParams(3, 3, Fraction(1, 3), 0.2, 0.1)
     # n = 60, s = 3, w = 30 reaches 311 states
     assert gv.p_lambda_exact(0.5, 60, params) < 0
-    monkeypatch.setattr(gv, "STATE_GUARD", 100)
+    monkeypatch.setattr(gv, "WORK_GUARD", 100)
     with pytest.raises(StateSpaceTooLarge):
         gv.p_lambda_exact(0.5, 60, params)
     assert gv.p_lambda_exact(2 / 6, 6, params) < 0
@@ -236,8 +249,8 @@ def test_p_lambda_exact_guards():
     with pytest.raises(NonIntegralWeight):
         gv.p_lambda_exact(0.35, 10, gv.GvParams(2, 2, Fraction(1, 2), 0.2, 0.1))
     big = gv.GvParams(2, 3, Fraction(1, 3), 0.2, 0.1)
-    with pytest.raises(StateSpaceTooLarge):
-        gv.p_lambda_exact(0.5, 3 * 100, big)
+    assert gv.p_lambda_exact(0.5, 3 * 100, big) == float(big.t) * math.log(
+        weight_layer_prob_oracle(2, 300, 3, 150), 2)
 
 
 def test_p_lambda_bound_scales_linearly():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpclab import linalg, rowdist
 from ldpclab.errors import (
@@ -152,6 +154,38 @@ def test_smoothness_iff_full_span():
         ell = int(rng.integers(1, 4))
         tau = random_tau(fld, ell, rng)
         assert (rowdist.smoothness(tau) > 0) == (rowdist.span_dim(tau) == ell)
+
+
+def smoothness_oracle(tau):
+    """min over nonzero dual vectors u of Pr_v[<u,v> != 0], one
+    matrix-vector product per u."""
+    q, ell = tau.field.q, tau.ell
+    supp = tau.support_matrix()
+    best = Fraction(1)
+    for u_idx in range(1, q ** ell):
+        prods = linalg.matmul(tau.field, supp, linalg.index_vector(u_idx, ell, q))
+        best = min(best, sum(m for (_, m), p_ in zip(tau.masses, prods) if p_ != 0))
+    return best
+
+
+SMOOTH_FIELDS = [F2, F3, field_new(2, 2), field_new(5), field_new(2, 3), field_new(3, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_smoothness_matches_dual_vector_loop(data):
+    fld = data.draw(st.sampled_from(SMOOTH_FIELDS), label="field")
+    ell = data.draw(st.sampled_from([e for e in (1, 2, 3) if fld.q ** e <= 130]), label="ell")
+    idx = data.draw(st.lists(st.integers(0, fld.q ** ell - 1), min_size=1, max_size=8,
+                             unique=True), label="support")
+    # weights past 2^63 make the common denominator overflow int64
+    top = data.draw(st.sampled_from([12, 2 ** 70]), label="top")
+    weights = data.draw(st.lists(st.integers(1, top), min_size=len(idx), max_size=len(idx)),
+                        label="weights")
+    tau = rowdist.RowDistribution.from_dict(fld, ell, {
+        tuple(linalg.index_vector(i, ell, fld.q).tolist()): Fraction(w, sum(weights))
+        for i, w in zip(idx, weights)})
+    assert rowdist.smoothness(tau) == smoothness_oracle(tau)
 
 
 def test_is_bad_list():
