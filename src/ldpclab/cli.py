@@ -15,15 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ensembles, fourier, gvdistance, linalg, rowdist
-from .errors import (
-    CodeTooLarge,
-    MalformedInput,
-    NotInLtau,
-    NumericError,
-    PreconditionError,
-    ResourceGuardError,
-    StateSpaceTooLarge,
-)
+from .errors import (CodeTooLarge, MalformedInput, NumericError, PreconditionError,
+                     ResourceGuardError, StateSpaceTooLarge)
 from .gf import Field, field_new
 
 
@@ -56,8 +49,8 @@ def _count(minimum: int):
     return parse
 
 
-def _radius(text: str) -> float:
-    """argparse type: a relative radius, a finite float in [0, 1]."""
+def _unit_interval(text: str) -> float:
+    """argparse type: a finite float in [0, 1], as a relative radius or a slack."""
     try:
         value = float(text)
     except ValueError:
@@ -122,8 +115,11 @@ def _sweep(fld: Field, n: int, s: int, rates: list[Fraction], trials: int, seed:
     `rlc_at_k` is the statistic of a random linear code drawn at seed + i,
     at the rate and at rate k/n (the same code when k/n is the rate): None
     when that code trips the enumeration guard.  A guard trip on code i
-    itself stops the sweep.
+    itself stops the sweep, and so does an empty `rates`.
     """
+    if not rates:
+        raise PreconditionError(f"no rate k/n admits a code to sweep at n = {n}, s = {s}")
+
     def compared(rate: Fraction, i: int):
         try:
             return statistic(_code(fld, n, 0, rate, seed + i))
@@ -183,7 +179,7 @@ def cmd_threshold(args) -> None:
             raise PreconditionError("the empirical sweep takes single-column tau over F_2 only")
         weight = tau.mass((1,)) * args.n
         if weight.denominator != 1:
-            raise NotInLtau(f"tau(1) * n = {weight} is not an integer weight")
+            raise PreconditionError(f"tau(1) * n = {weight} is not an integer weight")
         rows = _sweep(tau.field, args.n, 0, _feasible_rates(args.n, 0, 12, tau.field.q),
                       args.trials, args.seed,
                       lambda code: ensembles.has_codeword_of_weight(code, int(weight)))
@@ -275,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--s", type=_count(1), required=True)
     p.add_argument("--rate", type=_parse_rate, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_unit_interval, default=0.1)
     p.add_argument("--trials", type=_count(0), default=0)
     common(p)
     p.set_defaults(func=cmd_ldpc_contain)
@@ -284,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--n", type=_count(1), required=True)
     p.add_argument("--s", type=_count(1), required=True)
-    p.add_argument("--alpha", type=_radius, required=True)
+    p.add_argument("--alpha", type=_unit_interval, required=True)
     p.add_argument("--list-size", type=_count(1), default=1)
     p.add_argument("--trials", type=_count(1), default=10)
     common(p)

@@ -23,14 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadRate,
-    CodeTooLarge,
-    DivisibilityViolation,
-    LengthMismatch,
-    MalformedInput,
-    PreconditionViolated,
-)
+from .errors import CodeTooLarge, MalformedInput, PreconditionError
 from .gf import Field, field_new
 
 ENUM_GUARD = 1 << 24
@@ -52,12 +45,12 @@ class LdpcEnsembleParams:
 
     def __post_init__(self):
         if not (0 < self.rate < 1):
-            raise BadRate(f"rate must be in (0,1), got {self.rate}")
+            raise PreconditionError(f"rate must be in (0,1), got {self.rate}")
         if self.s < 1 or self.n % self.s != 0:
-            raise DivisibilityViolation(f"s={self.s} does not divide n={self.n}")
+            raise PreconditionError(f"s={self.s} does not divide n={self.n}")
         t = (1 - self.rate) * self.s
         if t.denominator != 1 or t <= 0:
-            raise DivisibilityViolation(
+            raise PreconditionError(
                 f"t = (1-R)*s = {t} must be a positive integer"
             )
 
@@ -141,9 +134,9 @@ def _rlc_rows(n: int, rate: Fraction) -> int:
     """The (1-R)n rows of a random linear code's parity-check matrix."""
     rate = Fraction(rate)
     if not (0 < rate < 1):
-        raise BadRate(f"rate must be in (0,1), got {rate}")
+        raise PreconditionError(f"rate must be in (0,1), got {rate}")
     if (rate * n).denominator != 1:
-        raise BadRate(f"R*n = {rate * n} is not an integer")
+        raise PreconditionError(f"R*n = {rate * n} is not an integer")
     return int((1 - rate) * n)
 
 
@@ -182,7 +175,7 @@ def sample_ldpc(params: LdpcEnsembleParams, seed: int) -> LinearCode:
 def contains(code: LinearCode, v: np.ndarray) -> bool:
     v = np.asarray(v, dtype=np.int64)
     if v.shape != (code.n,):
-        raise LengthMismatch(f"vector length {v.shape} vs n={code.n}")
+        raise PreconditionError(f"vector length {v.shape} vs n={code.n}")
     return not np.any(linalg.matmul(code.field, code.h, v))
 
 
@@ -259,13 +252,13 @@ def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
     big, small = units ** w, units ** (w - 1)
     comb = np.array([math.comb(c, w) for c in range(rows)], dtype=np.int64)
     size = math.comb(rows, w) * big
-    add, chunk = (np.bitwise_xor if fld.q == 2 else fld.add), 1 << 16
+    chunk = 1 << 16
     for start in range(0, size, chunk):
         top, u = np.divmod(np.arange(start, min(start + chunk, size)), big)
         c = np.searchsorted(comb, top, side="right") - 1
         d, u = np.divmod(u, small)
-        yield add(np.take(prev, (top - comb[c]) * small + u, axis=0),
-                  np.take(flat, c * units + d, axis=0))
+        yield fld.add(np.take(prev, (top - comb[c]) * small + u, axis=0),
+                      np.take(flat, c * units + d, axis=0))
 
 
 def _weights(fld: Field, sums: np.ndarray) -> np.ndarray:
@@ -424,7 +417,7 @@ def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
     in walk order with a most frequent syndrome.
     """
     if not 0 <= alpha <= 1:
-        raise PreconditionViolated(f"alpha must lie in [0, 1], got {alpha}")
+        raise PreconditionError(f"alpha must lie in [0, 1], got {alpha}")
     fld, n = code.field, code.n
     radius = int(np.floor(alpha * n + 1e-9))
     sizes = [_ball_size(n, fld.q, w) for w in range(radius + 1)]
@@ -460,7 +453,7 @@ def _most_frequent(keys: np.ndarray) -> tuple[int, int]:
 
 def _check_trials(trials: int) -> None:
     if trials < 1:
-        raise PreconditionViolated(f"trials must be at least 1, got {trials}")
+        raise PreconditionError(f"trials must be at least 1, got {trials}")
 
 
 def mc_rlc_contains(
@@ -517,11 +510,10 @@ def mc_ldpc_contains(
     fld = params.field
     m = linalg.as_matrix(m, fld)
     if m.shape[0] != params.n:
-        raise LengthMismatch(f"M has {m.shape[0]} rows, params.n = {params.n}")
+        raise PreconditionError(f"M has {m.shape[0]} rows, params.n = {params.n}")
     _check_trials(trials)
     supp = np.flatnonzero(m.any(axis=1))
     multiples = _unit_multiples(fld, m[supp])  # (rows, q-1, width)
-    add = np.bitwise_xor if fld.q == 2 else fld.add
     rng = make_rng(seed)
     hits = 0
     for start in range(0, trials, LDPC_CHUNK):
@@ -536,8 +528,8 @@ def mc_ldpc_contains(
             for j, i in enumerate(supp):
                 slot = _slots(keys, i)
                 check = slot // params.s
-                sums[check, :, trial] = add(sums[check, :, trial],
-                                            multiples[j, units[alive, slot] - 1])
+                sums[check, :, trial] = fld.add(sums[check, :, trial],
+                                                multiples[j, units[alive, slot] - 1])
             alive = alive[~sums.any(axis=(0, 1))]
         hits += len(alive)
     return hits / trials

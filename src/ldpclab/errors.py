@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all ldpclab modules."""
+"""Exception hierarchy shared by all ldpclab modules.
+
+One class per outcome: the CLI maps `PreconditionError` to exit 2,
+`ResourceGuardError` to exit 3 and `NumericError` to exit 4.  The three
+subclasses below exist because code tells them apart.
+"""
 
 
 class LdpcLabError(Exception):
@@ -10,120 +15,23 @@ class PreconditionError(LdpcLabError):
 
 
 class ResourceGuardError(LdpcLabError):
-    """An enumeration or state space exceeds its guard limit."""
+    """An enumeration, table, search or state space exceeds its guard limit."""
 
 
 class NumericError(LdpcLabError):
     """An internal numeric consistency check failed."""
 
 
-# --- input data ---
-
 class MalformedInput(PreconditionError, ValueError):
     """Input data (a file, a matrix, a distribution) is unreadable or
     holds an entry outside the field or a vector of the wrong length."""
 
 
-# --- field construction ---
-
-class NonPrime(PreconditionError):
-    pass
-
-
-class FieldTooLarge(PreconditionError):
-    pass
-
-
-# --- linear algebra ---
-
-class TooManySubspaces(ResourceGuardError):
-    pass
-
-
-# --- ensembles ---
-
-class BadRate(PreconditionError):
-    pass
-
-
-class DivisibilityViolation(PreconditionError):
-    pass
-
-
-class LengthMismatch(PreconditionError):
-    pass
-
-
 class CodeTooLarge(ResourceGuardError):
-    pass
-
-
-# --- row distributions ---
-
-class NotInLtau(PreconditionError):
-    pass
-
-
-class DegenerateDistribution(PreconditionError):
-    pass
-
-
-class KernelFullSpace(PreconditionError):
-    pass
-
-
-class TableTooLarge(ResourceGuardError):
-    pass
-
-
-class SupportTooLarge(ResourceGuardError):
-    pass
-
-
-class SearchBudgetExhausted(ResourceGuardError):
-    pass
-
-
-# --- fourier ---
-
-class NonRealResult(NumericError):
-    pass
-
-
-class NotSmoothEnough(PreconditionError):
-    pass
-
-
-class EvenSparsity(PreconditionError):
-    pass
-
-
-class NotSmooth(PreconditionError):
-    pass
+    """An enumeration past `ensembles.ENUM_GUARD`; `cli._sweep` reads it as
+    null for a random linear code."""
 
 
 class StateSpaceTooLarge(ResourceGuardError):
-    pass
-
-
-# --- gv distance ---
-
-class OutOfDomain(PreconditionError):
-    pass
-
-
-class BisectionNoBracket(NumericError):
-    pass
-
-
-class NonIntegralWeight(PreconditionError):
-    pass
-
-
-class PreconditionViolated(PreconditionError):
-    pass
-
-
-class NoCertifiableS(ResourceGuardError):
-    """The sparsity search ran out of doublings, a search budget like
-    `SearchBudgetExhausted`'s."""
+    """The layer DP past `WORK_GUARD`; `ldpc-contain` reads it as
+    `exact_probability: null`."""

@@ -21,16 +21,7 @@ import numpy as np
 
 from . import gvdistance, linalg
 from .ensembles import LdpcEnsembleParams
-from .errors import (
-    DivisibilityViolation,
-    EvenSparsity,
-    LengthMismatch,
-    NonRealResult,
-    NotInLtau,
-    NotSmooth,
-    NotSmoothEnough,
-    PreconditionViolated,
-)
+from .errors import NumericError, PreconditionError
 from .gf import Field
 from .rowdist import (RowDistribution, entropy_q, orthogonality, row_distribution_of,
                       smoothness, table_rows)
@@ -99,11 +90,11 @@ def conv_power_at_zero(p: ComplexDistribution, s: int) -> float:
     be scalar-twist symmetric, which forces the sum to be real.
     """
     if s < 1:
-        raise PreconditionViolated(f"s = {s} must be >= 1")
+        raise PreconditionError(f"s = {s} must be >= 1")
     coeffs = fourier_transform(p).values
     val = np.sum(coeffs ** s)
     if abs(val.imag) > IMAG_TOL:
-        raise NonRealResult(f"imaginary residue {val.imag} in convolution power")
+        raise NumericError(f"imaginary residue {val.imag} in convolution power")
     return float(val.real)
 
 
@@ -113,11 +104,11 @@ def fourier_coefficient_bound(
     """(max nonzero coefficient of the scalar twist, q^-l (1 - q delta/(q-1)), holds)."""
     delta = float(delta)
     if float(smoothness(tau)) < delta - 1e-12:
-        raise NotSmoothEnough(f"tau is not {delta}-smooth")
+        raise PreconditionError(f"tau is not {delta}-smooth")
     q, ell = tau.field.q, tau.ell
     coeffs = fourier_transform(scalar_twist(tau)).values
     if np.max(np.abs(coeffs[1:].imag)) > IMAG_TOL:
-        raise NonRealResult("nonzero coefficient with imaginary part")
+        raise NumericError("nonzero coefficient with imaginary part")
     max_coeff = float(np.max(coeffs[1:].real))
     bound = q ** (-ell) * (1 - q * delta / (q - 1))
     return max_coeff, bound, max_coeff <= bound + IMAG_TOL
@@ -160,14 +151,15 @@ def ldpc_contain_bound(
     m = linalg.as_matrix(m)
     n, ell = m.shape
     if n != params.n:
-        raise LengthMismatch(f"matrix has {n} rows, params expect {params.n}")
+        raise PreconditionError(f"matrix has {n} rows, params expect {params.n}")
     if params.s % 2 == 0:
-        raise EvenSparsity(f"s = {params.s} is even; bound proven for odd s")
+        raise PreconditionError(f"s = {params.s} is even; bound proven for odd s")
     q = params.field.q
     tau = row_distribution_of(params.field, m)
     delta = float(smoothness(tau))
     if delta == 0:
-        raise NotSmooth("row distribution is not smooth (support spans a proper subspace)")
+        raise PreconditionError(
+            "row distribution is not smooth (support spans a proper subspace)")
     delta = min(delta, (q - 1) / q)
     s = params.s
     per_block = math.log(q ** (-ell) + (1 - q * delta / (q - 1)) ** s, q)
@@ -195,12 +187,12 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     """
     q = tau.field.q
     if n % s != 0:
-        raise DivisibilityViolation(f"s = {s} does not divide n = {n}")
+        raise PreconditionError(f"s = {s} does not divide n = {n}")
     counts = []
     for v, mass in tau.masses:
         c = mass * n
         if c.denominator != 1:
-            raise NotInLtau(f"tau({v}) * n = {c} is not an integer")
+            raise PreconditionError(f"tau({v}) * n = {c} is not an integer")
         counts.append(int(c))
     if tau.ell == 1:
         w = sum(c for (v,), c in zip(tau.support(), counts) if v != 0)

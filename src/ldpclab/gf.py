@@ -15,7 +15,7 @@ import cmath
 
 import numpy as np
 
-from .errors import FieldTooLarge, NonPrime, PreconditionError
+from .errors import NumericError, PreconditionError
 
 MAX_Q = 1 << 16
 
@@ -92,7 +92,7 @@ def _least_irreducible(p: int, h: int) -> tuple[int, ...]:
         f = _int_to_poly(code + p ** h, p)
         if _poly_is_irreducible(f, p):
             return f
-    raise RuntimeError(f"no irreducible polynomial of degree {h} over F_{p}")
+    raise NumericError(f"no irreducible polynomial of degree {h} over F_{p}")
 
 
 def _int_to_poly(e: int, p: int) -> tuple[int, ...]:
@@ -119,10 +119,10 @@ class Field:
         if h < 1:
             raise PreconditionError(f"extension degree must be >= 1, got {h}")
         if not _is_prime(p):
-            raise NonPrime(f"{p} is not prime")
+            raise PreconditionError(f"{p} is not prime")
         q = p ** h
         if q > MAX_Q:
-            raise FieldTooLarge(f"q = {p}^{h} = {q} exceeds {MAX_Q}")
+            raise PreconditionError(f"q = {p}^{h} = {q} exceeds {MAX_Q}")
         self.p, self.h, self.q = p, h, q
         self.modulus: tuple[int, ...] = () if h == 1 else _least_irreducible(p, h)
         if p != 2 and h > 1:
@@ -167,7 +167,7 @@ class Field:
             exp.append(x)
             x = self._mul_schoolbook(x, g)
         if x != 1:
-            raise RuntimeError(f"generator {g} has order other than {q - 1}")
+            raise NumericError(f"generator {g} has order other than {q - 1}")
         self.generator = g
         self._exp = np.array(exp, dtype=np.int64)
         self._log = np.zeros(q, dtype=np.int64)
@@ -197,7 +197,7 @@ class Field:
             )
         for a, b in pairs:
             if self.mul(a, b) != self._mul_schoolbook(a, b):
-                raise RuntimeError(f"table/schoolbook mismatch at ({a}, {b})")
+                raise NumericError(f"table/schoolbook mismatch at ({a}, {b})")
 
     # -- arithmetic (accepts ints or numpy integer arrays) --
 

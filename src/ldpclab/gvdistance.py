@@ -22,15 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BisectionNoBracket,
-    DivisibilityViolation,
-    NoCertifiableS,
-    NonIntegralWeight,
-    OutOfDomain,
-    PreconditionViolated,
-    StateSpaceTooLarge,
-)
+from .errors import NumericError, PreconditionError, ResourceGuardError, StateSpaceTooLarge
 
 BISECT_TOL = 1e-12
 WORK_GUARD = 10 ** 6  # composition entries one layer DP may examine
@@ -39,7 +31,7 @@ WORK_GUARD = 10 ** 6  # composition entries one layer DP may examine
 def hq(x: float, q: int) -> float:
     """q-ary entropy x log_q(q-1) - x log_q x - (1-x) log_q(1-x)."""
     if not 0 <= x <= 1:
-        raise OutOfDomain(f"entropy argument {x} outside [0, 1]")
+        raise PreconditionError(f"entropy argument {x} outside [0, 1]")
     if x == 0:
         return 0.0
     if x == 1:
@@ -55,7 +47,7 @@ def hq(x: float, q: int) -> float:
 def hq_inverse(y: float, q: int) -> float:
     """Inverse of hq on [0, 1 - 1/q], by bisection."""
     if not 0 <= y <= 1:
-        raise OutOfDomain(f"entropy value {y} outside [0, 1]")
+        raise PreconditionError(f"entropy value {y} outside [0, 1]")
     lo, hi = 0.0, (q - 1) / q
     while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2
@@ -120,7 +112,7 @@ def layer_prob(counts, s: int, block_zero) -> float:
     past WORK_GUARD entries the DP stops before it lists any more.
     """
     if sum(counts) % s:
-        raise DivisibilityViolation(f"s = {s} does not divide the {sum(counts)} rows")
+        raise PreconditionError(f"s = {s} does not divide the {sum(counts)} rows")
     frontier = {tuple(counts): 0}
     work, levels, comps, s_caps = 0, [], {}, (s,) * len(counts)
     for _ in range(sum(counts) // s):
@@ -169,7 +161,7 @@ def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:
 
 def _check_beta(beta: float, q: int, name: str = "beta") -> None:
     if not 0 < beta <= (q - 1) / q:
-        raise OutOfDomain(f"{name} = {beta} outside (0, (q-1)/q]")
+        raise PreconditionError(f"{name} = {beta} outside (0, (q-1)/q]")
 
 
 def zed(beta: float, q: int, s: int) -> float:
@@ -223,7 +215,7 @@ def phi(lam: float, q: int, s: int) -> tuple[float, float]:
     _check_beta(lam, q, "lambda")
     lo, hi = 1e-300, (q - 1) / q
     if lambda_of_beta(hi, q, s) < lam - 1e-15:
-        raise BisectionNoBracket(f"lambda = {lam} above lambda((q-1)/q)")
+        raise NumericError(f"lambda = {lam} above lambda((q-1)/q)")
     for _ in range(200):
         mid = (lo + hi) / 2
         if lambda_of_beta(mid, q, s) < lam:
@@ -238,9 +230,9 @@ def phi(lam: float, q: int, s: int) -> tuple[float, float]:
 
 def _check_delta_eps(q: int, delta: float, eps: float) -> None:
     if not 0 < delta < 1 - 1 / q:
-        raise PreconditionViolated(f"delta = {delta} outside (0, 1 - 1/q)")
+        raise PreconditionError(f"delta = {delta} outside (0, 1 - 1/q)")
     if not 0 < eps < 1 - hq(delta, q):
-        raise PreconditionViolated(f"eps = {eps} outside (0, 1 - h_q(delta))")
+        raise PreconditionError(f"eps = {eps} outside (0, 1 - h_q(delta))")
 
 
 @dataclass(frozen=True)
@@ -256,9 +248,9 @@ class GvParams:
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
         if self.s < 2:
-            raise PreconditionViolated(f"sparsity s = {self.s} < 2")
+            raise PreconditionError(f"sparsity s = {self.s} < 2")
         if not 0 < self.rate < 1:
-            raise PreconditionViolated(f"rate {self.rate} outside (0, 1)")
+            raise PreconditionError(f"rate {self.rate} outside (0, 1)")
         _check_delta_eps(self.q, self.delta, self.eps)
 
     @property
@@ -272,7 +264,7 @@ class GvParams:
 def _check_weight(lam: float, n: int) -> int:
     w = lam * n
     if abs(w - round(w)) > 1e-9:
-        raise NonIntegralWeight(f"lambda*n = {w} is not an integer")
+        raise PreconditionError(f"lambda*n = {w} is not an integer")
     return round(w)
 
 
@@ -312,7 +304,7 @@ def p_lambda_exact(lam: float, n: int, params: GvParams) -> float:
     """
     q, s = params.q, params.s
     if n % s != 0:
-        raise PreconditionViolated(f"s = {s} does not divide n = {n}")
+        raise PreconditionError(f"s = {s} does not divide n = {n}")
     p1 = weight_layer_prob(q, n, s, _check_weight(lam, n))
     if p1 == 0.0:
         return -math.inf
@@ -337,7 +329,7 @@ def failure_bound(params: GvParams, n: int) -> float:
     is at least the exact union sum.  Accumulated in log space, capped at 1.
     """
     if not params.certifiable():
-        raise PreconditionViolated(
+        raise PreconditionError(
             f"rate {params.rate} exceeds 1 - h_q(delta) - eps"
         )
     q = params.q
@@ -363,13 +355,13 @@ def s0_for_distance(q: int, delta: float, eps: float) -> int:
     # round the boundary rate down so it stays certifiable
     rate = Fraction(math.floor((1 - hq(delta, q) - eps) * 10 ** 6), 10 ** 6)
     if rate <= 0:
-        raise PreconditionViolated("boundary rate 1 - h_q(delta) - eps <= 0")
+        raise PreconditionError("boundary rate 1 - h_q(delta) - eps <= 0")
     for _ in range(10):
         params = GvParams(q, s, rate, delta, eps)
         if failure_bound(params, 2000) < failure_bound(params, 1000):
             return s
         s *= 2
-    raise NoCertifiableS(
+    raise ResourceGuardError(
         f"failure bound not decreasing after 10 doublings (s = {s})"
     )
 
@@ -378,7 +370,7 @@ def s0_main(q: int, eps: float, rbar: float, b: int) -> int:
     """Sparsity sufficient for b-local properties up to rate rbar."""
     denom = hq_inverse(1 - rbar, q)
     if denom <= 0:
-        raise OutOfDomain(f"h_q^-1(1 - {rbar}) = 0")
+        raise PreconditionError(f"h_q^-1(1 - {rbar}) = 0")
     return math.ceil((b * math.log2(q) + math.log2(q / eps)) / denom)
 
 

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import MalformedInput, TooManySubspaces
+from .errors import MalformedInput, ResourceGuardError
 from .gf import Field
 
 MAX_SUBSPACES = 10 ** 6
@@ -153,7 +153,7 @@ def enumerate_subspaces(field: Field, ell: int):
     q = field.q
     total = subspace_count(ell, q)
     if total > MAX_SUBSPACES:
-        raise TooManySubspaces(f"{total} subspaces of F_{q}^{ell} exceeds {MAX_SUBSPACES}")
+        raise ResourceGuardError(f"{total} subspaces of F_{q}^{ell} exceeds {MAX_SUBSPACES}")
     yield np.zeros((0, ell), dtype=np.int64)  # the trivial subspace
     for m in range(1, ell + 1):
         for pivots in combinations(range(ell), m):

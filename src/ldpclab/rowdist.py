@@ -17,15 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateDistribution,
-    KernelFullSpace,
-    MalformedInput,
-    PreconditionViolated,
-    SearchBudgetExhausted,
-    SupportTooLarge,
-    TableTooLarge,
-)
+from .errors import MalformedInput, PreconditionError, ResourceGuardError
 from .gf import Field, field_new
 
 Real = Union[Fraction, float]
@@ -44,6 +36,8 @@ class RowDistribution:
 
     @staticmethod
     def from_dict(field: Field, ell: int, d: dict) -> "RowDistribution":
+        if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
+            raise MalformedInput(f"ell = {ell!r} must be an integer >= 1")
         items = []
         for vec, mass in sorted(d.items()):
             vec = tuple(int(x) for x in vec)
@@ -142,8 +136,8 @@ def table_rows(field: Field, ell: int, width: int = 1) -> int:
     """q^l, once a (q^l, width) table over F_q^l is checked against TABLE_GUARD."""
     rows = field.q ** ell
     if rows * width > TABLE_GUARD:
-        raise TableTooLarge(f"table over F_{field.q}^{ell} holds {rows * width} cells, "
-                            f"more than TABLE_GUARD = {TABLE_GUARD}")
+        raise ResourceGuardError(f"table over F_{field.q}^{ell} holds {rows * width} cells, "
+                                 f"more than TABLE_GUARD = {TABLE_GUARD}")
     return rows
 
 
@@ -171,7 +165,7 @@ def implied_distribution(tau: RowDistribution, kernel: np.ndarray) -> RowDistrib
     """
     kernel = np.asarray(kernel, dtype=np.int64).reshape(-1, tau.ell)
     if kernel.shape[0] >= tau.ell and linalg.rank(tau.field, kernel) == tau.ell:
-        raise KernelFullSpace("kernel must be a proper subspace")
+        raise PreconditionError("kernel must be a proper subspace")
     a_t = linalg.kernel_basis(tau.field, kernel)  # l x (l - dim kernel)
     m = a_t.shape[1]
     images = linalg.matmul(tau.field, tau.support_matrix(), a_t)  # row i is A.v_i
@@ -186,7 +180,7 @@ def expectation_threshold(tau: RowDistribution) -> Real:
     """1 - H_q(tau) / d(tau); errors on the point mass at the origin."""
     d = span_dim(tau)
     if d == 0:
-        raise DegenerateDistribution("point mass at 0 has d(tau) = 0")
+        raise PreconditionError("point mass at 0 has d(tau) = 0")
     h = entropy_q(tau)
     if isinstance(h, Fraction):
         return 1 - h / d
@@ -264,7 +258,7 @@ def is_bad_list(
     masses = [m for _, m in tau.masses]
     k = len(supp)
     if k > 20:
-        raise SupportTooLarge(f"support size {k} exceeds 20")
+        raise ResourceGuardError(f"support size {k} exceeds 20")
     ell, q = tau.ell, tau.field.q
     # columns must be pairwise distinct somewhere on the support
     for j in range(ell):
@@ -315,7 +309,7 @@ def listdec_threshold_search(
     upper estimate of the true min over all bad-list distributions.
     """
     if list_size < 1:
-        raise PreconditionViolated("list size must be >= 1 (l = L+1 >= 2)")
+        raise PreconditionError("list size must be >= 1 (l = L+1 >= 2)")
     ell = list_size + 1
     alpha = Fraction(alpha)
     q = fld.q
@@ -369,6 +363,6 @@ def listdec_threshold_search(
         if best_r is None or r < best_r:
             best_tau, best_r = cand, r
     if best_tau is None:
-        raise SearchBudgetExhausted(
+        raise ResourceGuardError(
             f"no bad-list distribution found in {iterations} iterations")
     return best_tau, best_r

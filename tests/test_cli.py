@@ -10,6 +10,7 @@ import pytest
 
 import ldpclab
 from ldpclab import cli, ensembles, rowdist
+from ldpclab.errors import NumericError
 from ldpclab.gf import field_new
 
 F2 = field_new(2)
@@ -231,6 +232,15 @@ def test_exit_code_resource_guard(tmp_path, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_exit_code_numeric_error(monkeypatch, capsys):
+    def fail(args):
+        raise NumericError("imaginary residue 0.5 in convolution power")
+    monkeypatch.setattr(cli, "cmd_sample", fail)
+    assert run(["sample", "--field", "2", "--n", "12", "--rate", "1/3", "--seed", "0"]) == 4
+    # one line on stderr, no traceback
+    assert capsys.readouterr().err == "numeric error: imaginary residue 0.5 in convolution power\n"
+
+
 def run_process(argv):
     """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
     src = str(Path(ldpclab.__file__).resolve().parents[1])
@@ -243,6 +253,7 @@ def assert_bad_input(argv):
     code, err = run_process(argv)
     assert code == 2, err
     assert "Traceback" not in err and "precondition" in err
+    return err
 
 
 def test_bad_input_masses_do_not_sum_to_one(tmp_path):
@@ -286,6 +297,33 @@ def test_bad_input_rate_zero_denominator():
                              "--seed", "0"])
     assert code == 2, err
     assert "Traceback" not in err and "--rate" in err
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["threshold", "--tau", "{file}"],
+     {"ell": 0, "field": {"p": 2, "h": 1}, "masses": [[[], 1, 1]]}, "ell = 0 must be"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": 2.0, "field": {"p": 2, "h": 1}, "masses": [[[0, 1], 1, 2], [[1, 0], 1, 2]]},
+     "ell = 2.0 must be"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": True, "field": {"p": 2, "h": 1}, "masses": [[[0], 1, 2], [[1], 1, 2]]},
+     "ell = True must be"),
+    (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
+     {"field": {"p": 2}, "rows": [[], [], []]}, "ell = 0 must be"),
+    # no k/n makes t = (1 - R) 3 integral at n = 8
+    (["listdecode", "--field", "2", "--n", "8", "--s", "3", "--alpha", "0.25"],
+     None, "no rate k/n admits a code to sweep at n = 8, s = 3"),
+    # at n = 1 there is no rate 0 < k/n < 1
+    (["threshold", "--tau", "{file}", "--empirical", "--n", "1"],
+     {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[1], 1, 1]]},
+     "no rate k/n admits a code to sweep at n = 1, s = 0"),
+], ids=["tau-ell-0", "tau-ell-float", "tau-ell-true", "matrix-without-columns",
+        "listdecode-no-rate", "threshold-empirical-no-rate"])
+def test_bad_input_without_a_code(tmp_path, argv, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    assert message in assert_bad_input(argv + ["--seed", "0"])
 
 
 def test_threshold_empirical_rejects_fractional_weight(tmp_path):
@@ -395,9 +433,12 @@ def test_listdecode_past_center_enumeration(tmp_path):
     (["ldpc-contain", "--matrix", "m.json", "--s", "0", "--rate", "1/3"], "--s"),
     (["ldpc-contain", "--matrix", "m.json", "--s", "3", "--rate", "1/3",
       "--trials", "-5"], "--trials"),
+    *[(["ldpc-contain", "--matrix", "m.json", "--s", "3", "--rate", "1/3", "--eps", eps],
+       "--eps") for eps in ("nan", "inf", "-1", "2")],
 ], ids=["alpha-nan", "alpha-negative", "alpha-above-1", "listdecode-trials-0",
         "listdecode-n-0", "listdecode-s-0", "sample-n-negative", "threshold-trials-0",
-        "ldpc-contain-s-0", "ldpc-contain-trials-negative"])
+        "ldpc-contain-s-0", "ldpc-contain-trials-negative", "eps-nan", "eps-inf",
+        "eps-negative", "eps-above-1"])
 def test_bad_numeric_input(argv, flag):
     # argument checks run before any file is opened
     code, err = run_process(argv + ["--seed", "0"])

@@ -12,16 +12,7 @@ from hypothesis import strategies as st
 
 from ldpclab import fourier, gvdistance, linalg
 from ldpclab.ensembles import LdpcEnsembleParams
-from ldpclab.errors import (
-    DivisibilityViolation,
-    EvenSparsity,
-    LengthMismatch,
-    NonRealResult,
-    NotSmooth,
-    NotSmoothEnough,
-    PreconditionViolated,
-    StateSpaceTooLarge,
-)
+from ldpclab.errors import NumericError, PreconditionError, StateSpaceTooLarge
 from ldpclab.gf import field_new
 from ldpclab.rowdist import RowDistribution
 
@@ -122,7 +113,7 @@ def test_conv_power_at_zero_closed_forms():
         point.values[0] = 1.0
         assert fourier.conv_power_at_zero(point, s) == pytest.approx(
             size ** (1 - s), abs=1e-14)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match="s = 0 must be >= 1"):
         fourier.conv_power_at_zero(
             fourier.ComplexDistribution.zeros(F2, 1), 0)
 
@@ -165,7 +156,7 @@ def test_conv_power_matches_probability_space(fld, ell, s):
 
 def test_conv_power_rejects_asymmetric_complex_input():
     f = fourier.ComplexDistribution(F3, 1, np.array([0, 1j, 1], dtype=np.complex128))
-    with pytest.raises(NonRealResult):
+    with pytest.raises(NumericError, match="imaginary residue"):
         fourier.conv_power_at_zero(f, 2)
 
 
@@ -184,7 +175,7 @@ def test_fourier_coefficient_bound():
     assert holds
     assert max_c == pytest.approx(bound, abs=1e-12)
     assert bound == pytest.approx(-1 / 12, abs=1e-12)
-    with pytest.raises(NotSmoothEnough):
+    with pytest.raises(PreconditionError, match=r"is not 0\.9-smooth"):
         fourier.fourier_coefficient_bound(tri, 0.9)
 
 
@@ -359,7 +350,7 @@ def test_exact_layer_prob_guards():
     assert fourier.exact_layer_prob(big, 16, 2) == walk_oracle(
         [2] * 8, 2, block_zero_by_count(big, 2))
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
-    with pytest.raises(DivisibilityViolation):
+    with pytest.raises(PreconditionError, match="s = 3 does not divide n = 10"):
         fourier.exact_layer_prob(tau, 10, 3)
 
 
@@ -430,12 +421,12 @@ def test_ldpc_contain_bound_rejections():
     m[:2, 0] = 1
     m[2:4, 1] = 1
     m[4:6] = 1
-    with pytest.raises(EvenSparsity):
+    with pytest.raises(PreconditionError, match="is even; bound proven for odd s"):
         fourier.ldpc_contain_bound(m, params_even, 0.1)
     params = LdpcEnsembleParams(F2, 24, 3, Fraction(1, 3))
     flat = np.zeros((24, 2), dtype=np.int64)
     flat[:6, 0] = 1  # second column identically zero: support in a proper subspace
-    with pytest.raises(NotSmooth):
+    with pytest.raises(PreconditionError, match="row distribution is not smooth"):
         fourier.ldpc_contain_bound(flat, params, 0.1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(PreconditionError, match="matrix has 12 rows"):
         fourier.ldpc_contain_bound(np.zeros((12, 2), dtype=np.int64), params, 0.1)

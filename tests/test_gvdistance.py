@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from ldpclab import gvdistance as gv
-from ldpclab.errors import (
-    DivisibilityViolation,
-    NonIntegralWeight,
-    OutOfDomain,
-    PreconditionViolated,
-    StateSpaceTooLarge,
-)
+from ldpclab.errors import PreconditionError, StateSpaceTooLarge
 
 
 def test_hq_values():
@@ -21,7 +15,7 @@ def test_hq_values():
     assert gv.hq(2 / 3, 3) == pytest.approx(1.0)
     assert gv.hq(1.0, 2) == 0.0
     assert gv.hq(1.0, 4) == pytest.approx(math.log(3, 4))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(PreconditionError, match=r"entropy argument 1\.5 outside"):
         gv.hq(1.5, 2)
 
 
@@ -126,18 +120,18 @@ def test_phi_matches_golden_section_minimization():
 
 
 def test_phi_rejects_weight_outside_domain():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(PreconditionError, match=r"lambda = 0\.9 outside"):
         gv.phi(0.9, 2, 3)
 
 
 def test_gv_params_validation():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match="sparsity s = 1 < 2"):
         gv.GvParams(2, 1, Fraction(1, 3), 0.1, 0.1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match="rate 1 outside"):
         gv.GvParams(2, 4, Fraction(1), 0.1, 0.1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match=r"delta = 0\.6 outside"):
         gv.GvParams(2, 4, Fraction(1, 3), 0.6, 0.1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match=r"eps = 0\.99 outside"):
         gv.GvParams(2, 4, Fraction(1, 3), 0.1, 0.99)
     p = gv.GvParams(2, 6, Fraction(1, 3), 0.11, 0.05)
     assert p.t == Fraction(4)
@@ -226,9 +220,9 @@ def test_weight_layer_prob_at_the_old_shape_limit():
 
 
 def test_layer_prob_rejects_partial_blocks():
-    with pytest.raises(DivisibilityViolation):
+    with pytest.raises(PreconditionError, match="s = 3 does not divide the 10 rows"):
         gv.weight_layer_prob(2, 10, 3, 2)
-    with pytest.raises(DivisibilityViolation):
+    with pytest.raises(PreconditionError, match="s = 2 does not divide the 5 rows"):
         gv.layer_prob((1, 2, 2), 2, lambda k: 1.0)
 
 
@@ -244,9 +238,9 @@ def test_layer_dp_state_guard(monkeypatch):
 
 def test_p_lambda_exact_guards():
     params = gv.GvParams(2, 3, Fraction(1, 3), 0.2, 0.1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match="s = 3 does not divide n = 8"):
         gv.p_lambda_exact(0.5, 8, params)
-    with pytest.raises(NonIntegralWeight):
+    with pytest.raises(PreconditionError, match="is not an integer"):
         gv.p_lambda_exact(0.35, 10, gv.GvParams(2, 2, Fraction(1, 2), 0.2, 0.1))
     big = gv.GvParams(2, 3, Fraction(1, 3), 0.2, 0.1)
     assert gv.p_lambda_exact(0.5, 3 * 100, big) == float(big.t) * math.log(
@@ -281,7 +275,7 @@ def test_failure_bound_behavior():
     small = gv.GvParams(2, 40, Fraction(1, 2), 0.02, 0.05)
     assert gv.failure_bound(small, 500) < 1e-3
     # uncertifiable rate is rejected
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionError, match="exceeds 1 - h_q"):
         gv.failure_bound(gv.GvParams(2, 20, Fraction(9, 10), 0.11, 0.05), 100)
     # at or above the exact union sum; the asymptotic exponent gave 3.16e-6
     # here, below the exact 4.95e-4

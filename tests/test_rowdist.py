@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpclab import linalg, rowdist
-from ldpclab.errors import (
-    DegenerateDistribution,
-    KernelFullSpace,
-    SupportTooLarge,
-)
+from ldpclab.errors import PreconditionError, ResourceGuardError
 from ldpclab.gf import field_new
 
 F2 = field_new(2)
@@ -94,7 +90,7 @@ def test_implied_distribution():
     # projection to the first two coordinates
     proj = rowdist.implied_distribution(tau, np.array([[0, 0, 1]]))
     assert proj.as_dict() == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
-    with pytest.raises(KernelFullSpace):
+    with pytest.raises(PreconditionError, match="kernel must be a proper subspace"):
         rowdist.implied_distribution(tau, np.eye(3, dtype=np.int64))
 
 
@@ -106,7 +102,7 @@ def test_expectation_threshold():
     point = rowdist.RowDistribution.from_dict(F2, 2, {(1, 1): Fraction(1)})
     assert rowdist.expectation_threshold(point) == 1
     origin = rowdist.RowDistribution.from_dict(F2, 2, {(0, 0): Fraction(1)})
-    with pytest.raises(DegenerateDistribution):
+    with pytest.raises(PreconditionError, match="point mass at 0"):
         rowdist.expectation_threshold(origin)
 
 
@@ -204,7 +200,7 @@ def test_is_bad_list():
     big = rowdist.RowDistribution.from_dict(
         field_new(2), 5,
         {tuple(linalg.index_vector(i, 5, 2)): Fraction(1, 32) for i in range(32)})
-    with pytest.raises(SupportTooLarge):
+    with pytest.raises(ResourceGuardError, match="support size 32 exceeds 20"):
         rowdist.is_bad_list(big, Fraction(1))
 
 
@@ -231,7 +227,7 @@ def test_listdec_threshold_search():
     assert rowdist.rstar(tau).r_star == r
     # upper estimate lands near or below the capacity benchmark
     assert float(r) <= 1 - gv.hq(0.25, 2) + 0.15
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match="list size must be >= 1"):
         rowdist.listdec_threshold_search(F2, Fraction(1, 4), 0)
 
 
