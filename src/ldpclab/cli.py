@@ -90,7 +90,8 @@ def load_matrix(path: str) -> tuple[Field, np.ndarray]:
 
 def _feasible_rates(n: int, s: int, points: int, q: int = 1) -> list[Fraction]:
     """Evenly spread rates R = k/n with (1-R)s = s - ks/n integral and q^k
-    within the codeword enumeration guard."""
+    within ENUM_GUARD, a policy of the sweep's own: each enumeration it runs
+    refuses only the ball it walks."""
     rates = [Fraction(k, n) for k in range(1, n)
              if k * s % n == 0 and q ** k <= ensembles.ENUM_GUARD]
     if len(rates) <= points:

@@ -269,36 +269,46 @@ def _weights(fld: Field, sums: np.ndarray) -> np.ndarray:
     return np.count_nonzero(sums, axis=1)
 
 
-def _levels(fld: Field, multiples: np.ndarray, radius: int):
-    """Yield the `_level_sums` blocks of weights 1..radius, weight by
-    weight, each in rank order.  Each level below the radius is filled into
-    a preallocated array of C(rows, w)(q-1)^w rows, kept only while the
-    next weight reads it."""
-    prev = _zero_sum(multiples)
-    for w in range(1, radius + 1):
-        size = _ball_size(len(multiples), fld.q, w)
-        level = np.empty((size,) + prev.shape[1:], prev.dtype) if w < radius else None
-        start = 0
-        for sums in _level_sums(fld, multiples, prev, w):
-            if level is not None:
-                level[start:start + len(sums)] = sums
-            start += len(sums)
-            yield sums
-        prev = level
+def _levels(fld: Field, m: np.ndarray, radius: int):
+    """Walk the radius ball of F_q^rows, rows those of m, for `_level_sums`:
+    return the number of its vectors of each weight 0..radius and a
+    generator of their sums, weight by weight, each in rank order.  A ball
+    of more than ENUM_GUARD vectors is refused here, before the unit
+    multiples of m are built.  Each level below the radius is filled into
+    a preallocated array, kept while the next weight reads it."""
+    sizes = [_ball_size(len(m), fld.q, w) for w in range(radius + 1)]
+    if sum(sizes) > ENUM_GUARD:
+        raise CodeTooLarge(f"the radius-{radius} ball has {sum(sizes)} vectors, "
+                           f"more than {ENUM_GUARD}")
+    multiples = _unit_multiples(fld, m)
+
+    def walk():
+        prev = _zero_sum(multiples)
+        yield prev
+        for w, size in enumerate(sizes[1:], 1):
+            level = np.empty((size,) + prev.shape[1:], prev.dtype) if w < radius else None
+            start = 0
+            for sums in _level_sums(fld, multiples, prev, w):
+                if level is not None:
+                    level[start:start + len(sums)] = sums
+                start += len(sums)
+                yield sums
+            prev = level
+
+    return sizes, walk()
 
 
 def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
     """Exhaustively check for a nonzero codeword of exact Hamming weight.
 
-    The q^k - 1 nonzero messages are walked by weight with `_levels` on
-    the rows of the generator, up to the first block holding a codeword of
-    that weight.  Visiting every message needs no information set.
+    `kernel_basis` makes the generator the identity on the free columns of
+    H, so a codeword of weight w has a message of weight at most w: the
+    messages of weight 0..min(w, k) are walked with `_levels` on the rows
+    of the generator, up to the first block holding a weight-w codeword.
     """
     fld, k = code.field, code.dimension
-    if fld.q ** k > ENUM_GUARD:
-        raise CodeTooLarge(f"q^k = {fld.q}^{k} exceeds {ENUM_GUARD}")
-    multiples = _unit_multiples(fld, code.generator.T)
-    return any((_weights(fld, sums) == weight).any() for sums in _levels(fld, multiples, k))
+    _, walk = _levels(fld, code.generator.T, min(weight, k))
+    return weight > 0 and any((_weights(fld, sums) == weight).any() for sums in walk)
 
 
 def _information_sets(fld: Field, g: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -420,13 +430,8 @@ def max_list_size(code: LinearCode, alpha: float) -> ListSizeResult:
         raise PreconditionError(f"alpha must lie in [0, 1], got {alpha}")
     fld, n = code.field, code.n
     radius = int(np.floor(alpha * n + 1e-9))
-    sizes = [_ball_size(n, fld.q, w) for w in range(radius + 1)]
-    if sum(sizes) > ENUM_GUARD:
-        raise CodeTooLarge(f"the radius-{radius} ball has {sum(sizes)} vectors, "
-                           f"more than {ENUM_GUARD}")
-    multiples = _unit_multiples(fld, code.h.T)
-    keys = [_syndrome_keys(fld, _zero_sum(multiples))]
-    keys += [_syndrome_keys(fld, syn) for syn in _levels(fld, multiples, radius)]
+    sizes, walk = _levels(fld, code.h.T, radius)
+    keys = [_syndrome_keys(fld, syn) for syn in walk]
     count, worst = _most_frequent(np.concatenate(keys))
     offsets = np.cumsum(sizes)
     w = int(np.searchsorted(offsets, worst, side="right"))

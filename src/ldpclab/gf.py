@@ -118,6 +118,8 @@ class Field:
             raise PreconditionError(f"p = {p!r} and h = {h!r} must be integers")
         if h < 1:
             raise PreconditionError(f"extension degree must be >= 1, got {h}")
+        if p > MAX_Q or (p >= 2 and h > 16):  # then p^h > MAX_Q: refused before a primality test
+            raise PreconditionError(f"q = {p}^{h} exceeds {MAX_Q}")
         if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         q = p ** h

@@ -44,18 +44,23 @@ def hq(x: float, q: int) -> float:
     )
 
 
-def hq_inverse(y: float, q: int) -> float:
-    """Inverse of hq on [0, 1 - 1/q], by bisection."""
-    if not 0 <= y <= 1:
-        raise PreconditionError(f"entropy value {y} outside [0, 1]")
-    lo, hi = 0.0, (q - 1) / q
+def _bisect(f, y: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] where the increasing f crosses y: the midpoint of
+    the first halving of [lo, hi] narrower than BISECT_TOL."""
     while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2
-        if hq(mid, q) < y:
+        if f(mid) < y:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def hq_inverse(y: float, q: int) -> float:
+    """Inverse of hq on [0, 1 - 1/q], by bisection."""
+    if not 0 <= y <= 1:
+        raise PreconditionError(f"entropy value {y} outside [0, 1]")
+    return _bisect(lambda x: hq(x, q), y, 0.0, (q - 1) / q)
 
 
 def zero_sum_probs(q: int, kmax: int) -> list[float]:
@@ -213,18 +218,10 @@ def phi(lam: float, q: int, s: int) -> tuple[float, float]:
     bisection on the strictly increasing lambda_of_beta.
     """
     _check_beta(lam, q, "lambda")
-    lo, hi = 1e-300, (q - 1) / q
+    hi = (q - 1) / q
     if lambda_of_beta(hi, q, s) < lam - 1e-15:
         raise NumericError(f"lambda = {lam} above lambda((q-1)/q)")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if lambda_of_beta(mid, q, s) < lam:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BISECT_TOL * max(1.0, hi):
-            break
-    beta_star = (lo + hi) / 2
+    beta_star = _bisect(lambda beta: lambda_of_beta(beta, q, s), lam, 1e-300, hi)
     return psi(lam, beta_star, q, s), beta_star
 
 
@@ -316,8 +313,6 @@ def _log_q_sum(terms: list[float], q: int) -> float:
     if not terms:
         return -math.inf
     m = max(terms)
-    if m == -math.inf:
-        return -math.inf
     return m + math.log(sum(q ** (t - m) for t in terms), q)
 
 

@@ -19,11 +19,14 @@ MAX_SUBSPACES = 10 ** 6
 
 
 def as_matrix(entries, field: Field | None = None) -> np.ndarray:
-    """`entries` as a 2-D int64 array; with a field, every entry must lie in [0, q)."""
+    """`entries` as a 2-D int64 array; every entry must be an integer, and
+    with a field lie in [0, q)."""
     try:
         m = np.asarray(entries, dtype=np.int64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise MalformedInput(f"not an integer matrix: {e}") from None
+    if m is not entries and not np.array_equal(m, entries):  # the cast truncated
+        raise MalformedInput("matrix entry is not an integer")
     if m.ndim != 2:
         raise MalformedInput(f"expected a 2-D matrix, got shape {m.shape}")
     if field is not None and m.size and (m.min() < 0 or m.max() >= field.q):
@@ -117,7 +120,8 @@ def rank(field: Field, m: np.ndarray) -> int:
 
 
 def kernel_basis(field: Field, m: np.ndarray) -> np.ndarray:
-    """Basis of ker(m) as the columns of a cols x (cols - rank) matrix."""
+    """Basis of ker(m) as the columns of a cols x (cols - rank) matrix, the
+    identity on the free (non-pivot) columns, as `has_codeword_of_weight` needs."""
     m = as_matrix(m)
     r, rk, pivots = rref(field, m)
     cols = m.shape[1]

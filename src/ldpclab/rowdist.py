@@ -40,7 +40,13 @@ class RowDistribution:
             raise MalformedInput(f"ell = {ell!r} must be an integer >= 1")
         items = []
         for vec, mass in sorted(d.items()):
-            vec = tuple(int(x) for x in vec)
+            try:
+                ints = tuple(int(x) for x in vec)
+            except (TypeError, ValueError):
+                ints = None
+            if ints != tuple(vec):  # int() truncated, or refused, an entry
+                raise MalformedInput(f"{tuple(vec)} is not a vector of integers")
+            vec = ints
             if len(vec) != ell or not all(0 <= x < field.q for x in vec):
                 raise MalformedInput(f"{vec} is not a vector of F_{field.q}^{ell}")
             mass = Fraction(mass)
@@ -102,19 +108,13 @@ def row_distribution_of(field: Field, m: np.ndarray) -> RowDistribution:
 
 
 def _exact_log_q(x: Fraction, q: int) -> Optional[int]:
-    """log_q(x) if it is an integer (x a power of q), else None."""
+    """log_q(x) of a mass x in (0, 1] if it is an integer (x = q^-e), else None."""
     if x.numerator == 1:
         e, d = 0, x.denominator
         while d % q == 0:
             d //= q
             e += 1
         return -e if d == 1 else None
-    if x.denominator == 1:
-        e, n = 0, x.numerator
-        while n % q == 0:
-            n //= q
-            e += 1
-        return e if n == 1 else None
     return None
 
 
@@ -250,48 +250,41 @@ def is_bad_list(
 
     The center is an assignment a: supp(tau) -> F_q; column j's distance to
     it is sum_v tau(v) [v_j != a(v)].  Requires the l columns to be pairwise
-    distinct as mass-weighted multisets.  Exhaustive search over q^{|supp|}
-    assignments with branch-and-bound pruning on partial column distances.
+    distinct as mass-weighted multisets.  A value a(v) outside v adds tau(v)
+    to every column, so only the entries of each v are tried, whatever q
+    is, in a search pruned on partial column distances.
     """
     alpha = Fraction(alpha)
     supp = tau.support()
-    masses = [m for _, m in tau.masses]
     k = len(supp)
     if k > 20:
         raise ResourceGuardError(f"support size {k} exceeds 20")
-    ell, q = tau.ell, tau.field.q
+    ell = tau.ell
     # columns must be pairwise distinct somewhere on the support
     for j in range(ell):
         for j2 in range(j + 1, ell):
             if all(v[j] == v[j2] for v in supp):
                 return False, None
     # order support by decreasing mass so pruning bites early
-    order = sorted(range(k), key=lambda i: -masses[i])
-    supp_o = [supp[i] for i in order]
-    mass_o = [masses[i] for i in order]
+    rows = sorted(tau.masses, key=lambda vm: -vm[1])
 
-    assignment = [0] * k
-
-    def search(i: int, dists: tuple[Fraction, ...]) -> Optional[list[int]]:
+    def search(i: int, dists: tuple[Fraction, ...]) -> Optional[tuple[int, ...]]:
         if max(dists) > alpha:
             return None
         if i == k:
-            return assignment[:k]
-        v = supp_o[i]
-        for a in range(q):
-            nd = tuple(
-                dists[j] + (mass_o[i] if v[j] != a else 0) for j in range(ell)
-            )
-            assignment[i] = a
+            return ()
+        v, mass = rows[i]
+        for a in sorted(set(v)):
+            nd = tuple(d + (mass if v[j] != a else 0) for j, d in enumerate(dists))
             found = search(i + 1, nd)
             if found is not None:
-                return found
+                return (a, *found)
         return None
 
-    found = search(0, tuple(Fraction(0) for _ in range(ell)))
+    found = search(0, (Fraction(0),) * ell)
     if found is None:
         return False, None
-    return True, {supp_o[i]: found[i] for i in range(k)}
+    return True, {v: a for (v, _), a in zip(rows, found)}
 
 
 def listdec_threshold_search(
@@ -325,25 +318,18 @@ def listdec_threshold_search(
             return None
         cuts = sorted(rng.choice(SEARCH_DENOMINATOR - 1, size=len(vecs) - 1, replace=False) + 1)
         parts = np.diff([0, *cuts, SEARCH_DENOMINATOR])
-        d = {v: Fraction(int(c), SEARCH_DENOMINATOR) for v, c in zip(vecs, parts) if c > 0}
-        if len(d) < 2:
-            return None
+        d = {v: Fraction(int(c), SEARCH_DENOMINATOR) for v, c in zip(vecs, parts)}
         return RowDistribution.from_dict(fld, ell, d)
 
     def perturb(tau: RowDistribution) -> Optional[RowDistribution]:
         d = {v: m for v, m in tau.masses}
         keys = list(d)
-        if len(keys) < 2:
-            return None
         i, j = rng.choice(len(keys), size=2, replace=False)
         step = Fraction(1, SEARCH_DENOMINATOR)
         if d[keys[i]] <= step:
             return None
         d[keys[i]] -= step
         d[keys[j]] += step
-        d = {v: m for v, m in d.items() if m > 0}
-        if len(d) < 2:
-            return None
         return RowDistribution.from_dict(fld, ell, d)
 
     best_tau: Optional[RowDistribution] = None

@@ -242,9 +242,11 @@ def test_exit_code_numeric_error(monkeypatch, capsys):
 
 
 def run_process(argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr).
+    Some inputs hung the CLI before they were refused, so a run that takes
+    a minute fails."""
     src = str(Path(ldpclab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "ldpclab.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "ldpclab.cli", *argv], timeout=60,
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     return proc.returncode, proc.stderr
 
@@ -317,8 +319,25 @@ def test_bad_input_rate_zero_denominator():
     (["threshold", "--tau", "{file}", "--empirical", "--n", "1"],
      {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[1], 1, 1]]},
      "no rate k/n admits a code to sweep at n = 1, s = 0"),
+    # a field past 2^16 is refused before a primality test or q is computed
+    (["sample", "--field", "1000000000000000003", "--n", "12", "--rate", "1/3"], None,
+     "q = 1000000000000000003^1 exceeds 65536"),
+    (["sample", "--field", "2,100000000", "--n", "12", "--rate", "1/3"], None,
+     "q = 2^100000000 exceeds 65536"),
+    (["sample", "--field", "2,5000", "--n", "12", "--rate", "1/3"], None,
+     "q = 2^5000 exceeds 65536"),
+    # entries that an integer cast would truncate to 1, 0 and 1
+    (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
+     {"field": {"p": 2}, "rows": [[1.5, 0], [0, 1], [1, 1]]}, "matrix entry is not an integer"),
+    (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
+     {"field": {"p": 2}, "rows": [[1e30, 0], [0, 1], [1, 1]]}, "not an integer matrix"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0.9], 1, 2], [[1.7], 1, 2]]},
+     "(0.9,) is not a vector of integers"),
 ], ids=["tau-ell-0", "tau-ell-float", "tau-ell-true", "matrix-without-columns",
-        "listdecode-no-rate", "threshold-empirical-no-rate"])
+        "listdecode-no-rate", "threshold-empirical-no-rate", "field-prime-past-2^16",
+        "field-degree-1e8", "field-degree-5000", "matrix-fractional-entry",
+        "matrix-entry-past-int64", "tau-fractional-entry"])
 def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -452,6 +471,21 @@ def test_listdecode_search_budget_exhausted():
                              "--alpha", "0", "--trials", "1", "--seed", "2"])
     assert code == 3, err
     assert "Traceback" not in err and "resource guard" in err
+
+
+@pytest.mark.parametrize("n,message", [
+    # each support row tries only the values it holds, not all 65536, so
+    # the search exhausts its budget instead of hanging
+    (8, "no bad-list distribution found in 200 iterations"),
+    # the radius-4 ball is refused before the unit multiples of H^T
+    # (48 x 65535 x 36 words) are built
+    (48, "the radius-4 ball has 3589153257445956429985981 vectors, more than 16777216"),
+], ids=["n8-search-budget", "n48-ball-guard"])
+def test_listdecode_over_a_large_field(n, message):
+    code, err = run_process(["listdecode", "--field", "2,16", "--n", str(n), "--s", "4",
+                             "--alpha", "0.1", "--trials", "1", "--seed", "0"])
+    assert code == 3, err
+    assert err == f"resource guard: {message}\n"
 
 
 def test_distance_profile_sparsity_search_exhausted():

@@ -159,8 +159,9 @@ def test_codeword_bitmasks_match_enumeration(k):
     n = 64
     code = free_top_code(n, k)
     assert code.dimension == k
-    walk = list(ensembles._levels(F2, ensembles._unit_multiples(F2, code.generator.T), k))
-    masks = np.concatenate(walk)[:, 0] if walk else np.zeros(0, dtype=np.uint64)
+    sizes, walk = ensembles._levels(F2, code.generator.T, k)
+    masks = np.concatenate(list(walk))[1:, 0]  # the zero message first
+    assert len(masks) == sum(sizes) - 1
     expected = [linalg.vector_index(cw, 2) for cw in enumerate_codewords(code)][1:]
     assert masks.dtype == np.uint64 and sorted(masks.tolist()) == sorted(expected)
     if k:
@@ -202,20 +203,56 @@ def test_has_codeword_of_weight_matches_oracle(q, data):
         code = ensembles.LinearCode(fld, np.vstack([h, np.zeros((zero_rows, n), dtype=np.int64)]),
                                     0, Fraction(1, 2), 0)
     present = set(nonzero_weights(code).tolist())
+    # weights 0..n+1 take in 0, k and k + 1, on either side of where the
+    # walk's radius min(w, k) stops growing
     for w in range(code.n + 2):
         assert ensembles.has_codeword_of_weight(code, w) == (w in present)
 
 
+def spy_levels(monkeypatch):
+    """Record the weight of every level `_level_sums` is asked to sum."""
+    summed, level_sums = [], ensembles._level_sums
+
+    def spy(fld, multiples, prev, w):
+        summed.append(w)
+        return level_sums(fld, multiples, prev, w)
+
+    monkeypatch.setattr(ensembles, "_level_sums", spy)
+    return summed
+
+
+@pytest.mark.parametrize("fld,n,rate", [(F3, 30, Fraction(7, 15)), (F3, 24, Fraction(1, 2)),
+                                        (FIELDS[4], 20, Fraction(2, 5))])
+def test_has_codeword_of_weight_misses_below_min_distance(monkeypatch, fld, n, rate):
+    # a weight w below the minimum distance d is a miss, found from the
+    # messages of weight <= w alone: over F_3 at n = 30, k = 14 and d = 7,
+    # weight 6 walks 275577 messages, not all 3^14 = 4782969; weight d hits
+    code = ensembles.sample_rlc(n, rate, fld, 0)
+    d = round(ensembles.min_distance(code)[0] * n)
+    summed = spy_levels(monkeypatch)
+    for w in range(d):
+        summed.clear()
+        assert not ensembles.has_codeword_of_weight(code, w)
+        assert max(summed, default=0) <= w
+    assert ensembles.has_codeword_of_weight(code, d)
+    assert max(summed) <= d
+
+
 def test_has_codeword_of_weight_guard(monkeypatch):
-    # q^k = 2^25 messages: refused before any level is summed
+    # k = 25: weight 1 walks the 25 messages of weight 1; weight 13 would
+    # walk the radius-13 ball of F_2^25, 2^24 + C(25, 13) vectors, and is
+    # refused before any level is summed
     code = ensembles.LinearCode(F2, np.zeros((0, 25), dtype=np.int64), 0, Fraction(1, 2), 0)
+    assert ensembles.has_codeword_of_weight(code, 1)
 
     def spy(*args):
         raise AssertionError("level summed past the guard")
 
     monkeypatch.setattr(ensembles, "_level_sums", spy)
-    with pytest.raises(CodeTooLarge, match=r"q\^k = 2\^25 exceeds 16777216"):
-        ensembles.has_codeword_of_weight(code, 1)
+    monkeypatch.setattr(ensembles, "_unit_multiples", spy)
+    with pytest.raises(CodeTooLarge, match=r"^the radius-13 ball has 21977516 vectors, "
+                                           r"more than 16777216$"):
+        ensembles.has_codeword_of_weight(code, 13)
 
 
 @pytest.mark.parametrize("fld,n", [(F3, 9), (field_new(2, 2), 6), (F2, 70)])
@@ -288,14 +325,7 @@ def test_enum_guard(monkeypatch):
     # n = 200, k = 100: weights 1..4 of each information set fit the guard,
     # weight 5 (about 1.5e8 messages) does not and is refused unenumerated
     code = ensembles.sample_rlc(200, Fraction(1, 2), F2, 1)
-    enumerated = []
-    level_sums = ensembles._level_sums
-
-    def spy(fld, multiples, prev, w):
-        enumerated.append(w)
-        return level_sums(fld, multiples, prev, w)
-
-    monkeypatch.setattr(ensembles, "_level_sums", spy)
+    enumerated = spy_levels(monkeypatch)
     t0 = time.perf_counter()
     with pytest.raises(CodeTooLarge):
         ensembles.min_distance(code)
@@ -385,6 +415,21 @@ def test_max_list_size_ball_guard():
     assert time.perf_counter() - t0 < 1
     with pytest.raises(PreconditionError, match="alpha must lie in"):
         ensembles.max_list_size(code, float("nan"))
+
+
+def test_ball_guard_precedes_the_unit_multiples(monkeypatch):
+    # over F_{2^16} at n = 48 the unit multiples of H^T alone would take
+    # 48 x 65535 x 36 words; the ball is refused before any are built
+    code = ensembles.sample_rlc(48, Fraction(1, 4), field_new(2, 16), 0)
+
+    def spy(*args):
+        raise AssertionError("unit multiples built past the guard")
+
+    monkeypatch.setattr(ensembles, "_unit_multiples", spy)
+    with pytest.raises(CodeTooLarge, match=r"^the radius-4 ball has \d+ vectors"):
+        ensembles.max_list_size(code, 0.1)
+    with pytest.raises(CodeTooLarge, match=r"^the radius-2 ball has \d+ vectors"):
+        ensembles.has_codeword_of_weight(code, 2)
 
 
 def test_list_size_at_zero_center_counts_ball_codewords():

@@ -160,6 +160,10 @@ def test_construction_errors():
         Field(4, 1)
     with pytest.raises(PreconditionError, match="1 is not prime"):
         Field(1, 1)
+    with pytest.raises(PreconditionError, match="^1 is not prime$"):
+        Field(1, 17)
+    with pytest.raises(PreconditionError, match="^0 is not prime$"):
+        Field(0, 20)
     with pytest.raises(PreconditionError, match="exceeds 65536"):
         Field(2, 17)
     with pytest.raises(PreconditionError):

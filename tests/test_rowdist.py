@@ -217,6 +217,54 @@ def test_bad_list_witness_is_valid():
             assert dist <= alpha
 
 
+def is_bad_list_oracle(tau, alpha):
+    """Reference search: every center value in F_q at every support row,
+    depth first in order of decreasing mass, pruned once a column's
+    partial distance passes alpha."""
+    alpha = Fraction(alpha)
+    ell, q = tau.ell, tau.field.q
+    supp = tau.support()
+    if any(all(v[j] == v[j2] for v in supp) for j in range(ell) for j2 in range(j + 1, ell)):
+        return False
+    rows = sorted(tau.masses, key=lambda vm: -vm[1])
+
+    def search(i, dists):
+        if max(dists) > alpha:
+            return False
+        if i == len(rows):
+            return True
+        v, mass = rows[i]
+        return any(search(i + 1, [d + (mass if v[j] != a else 0) for j, d in enumerate(dists)])
+                   for a in range(q))
+
+    return search(0, [Fraction(0)] * ell)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_is_bad_list_matches_oracle(q, data):
+    # the search tries only the values each support row holds; the answer
+    # is the all-of-F_q search's, and a witness is a valid center
+    fld = field_new(*{2: (2,), 3: (3,), 4: (2, 2), 5: (5,)}[q])
+    ell = data.draw(st.sampled_from([2, 3]), label="ell")
+    idx = data.draw(st.lists(st.integers(0, q ** ell - 1), min_size=1, max_size=6, unique=True),
+                    label="support")
+    weights = data.draw(st.lists(st.integers(1, 6), min_size=len(idx), max_size=len(idx)),
+                        label="weights")
+    tau = rowdist.RowDistribution.from_dict(fld, ell, {
+        tuple(linalg.index_vector(i, ell, q).tolist()): Fraction(w, sum(weights))
+        for i, w in zip(idx, weights)})
+    alpha = Fraction(data.draw(st.integers(0, 12), label="alpha * 12"), 12)
+    bad, witness = rowdist.is_bad_list(tau, alpha)
+    assert bad == is_bad_list_oracle(tau, alpha)
+    assert (witness is not None) == bad
+    if bad:
+        assert set(witness) == set(tau.support())
+        for j in range(ell):
+            assert sum(m for v, m in tau.masses if v[j] != witness[v]) <= alpha
+
+
 def test_listdec_threshold_search():
     from ldpclab import gvdistance as gv
 
