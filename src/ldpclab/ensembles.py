@@ -306,9 +306,11 @@ def has_codeword_of_weight(code: LinearCode, weight: int) -> bool:
     messages of weight 0..min(w, k) are walked with `_levels` on the rows
     of the generator, up to the first block holding a weight-w codeword.
     """
+    if not 0 < weight <= code.n:
+        return False  # no nonzero codeword weighs 0 or more than n
     fld, k = code.field, code.dimension
     _, walk = _levels(fld, code.generator.T, min(weight, k))
-    return weight > 0 and any((_weights(fld, sums) == weight).any() for sums in walk)
+    return any((_weights(fld, sums) == weight).any() for sums in walk)
 
 
 def _information_sets(fld: Field, g: np.ndarray) -> list[tuple[np.ndarray, int]]:

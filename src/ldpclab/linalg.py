@@ -122,13 +122,20 @@ def rank(field: Field, m: np.ndarray) -> int:
 def kernel_basis(field: Field, m: np.ndarray) -> np.ndarray:
     """Basis of ker(m) as the columns of a cols x (cols - rank) matrix, the
     identity on the free (non-pivot) columns, as `has_codeword_of_weight` needs."""
-    m = as_matrix(m)
     r, rk, pivots = rref(field, m)
-    cols = m.shape[1]
+    return rref_kernel_basis(field, r[:rk], pivots)
+
+
+def rref_kernel_basis(field: Field, r: np.ndarray, pivots) -> np.ndarray:
+    """`kernel_basis` of a matrix already in RREF, with no elimination:
+    r holds the nonzero rows (leading axes are batch axes, every matrix
+    with the same pivot columns), and each basis is the identity on the
+    free columns and -r's free entries on the pivot ones."""
+    cols = r.shape[-1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
-    basis[pivots] = field.neg(r[:rk][:, free])
+    basis = np.zeros(r.shape[:-2] + (cols, len(free)), dtype=np.int64)
+    basis[..., free, range(len(free))] = 1
+    basis[..., list(pivots), :] = field.neg(r[..., free])
     return basis
 
 
@@ -147,34 +154,74 @@ def subspace_count(ell: int, q: int) -> int:
     return sum(gaussian_binomial(ell, m, q) for m in range(ell + 1))
 
 
-def enumerate_subspaces(field: Field, ell: int):
-    """Yield every subspace of F_q^ell exactly once, as its RREF basis.
+def enumerate_subspaces(field: Field, ell: int, batch: int):
+    """Every subspace of F_q^ell exactly once, as stacks of RREF bases.
 
     The dimension-m subspaces are generated by choosing pivot columns and
-    filling the free entries; each matrix produced is already in RREF, so
-    no two yields represent the same subspace.
+    filling the free entries, so each basis is already in RREF and no two
+    represent the same subspace.  Dimensions ascend, pivot sets come in
+    `combinations` order, and the free entries count up in `product`
+    order (the last fastest).  Each yield is a (b, m, ell) array of b <=
+    `batch` bases that share one pivot set.  The subspace count is checked
+    against MAX_SUBSPACES here, before the first stack is built.
     """
     q = field.q
     total = subspace_count(ell, q)
     if total > MAX_SUBSPACES:
         raise ResourceGuardError(f"{total} subspaces of F_{q}^{ell} exceeds {MAX_SUBSPACES}")
-    yield np.zeros((0, ell), dtype=np.int64)  # the trivial subspace
-    for m in range(1, ell + 1):
-        for pivots in combinations(range(ell), m):
-            # free positions: entries (i, c) with c > pivots[i], c not a pivot
-            free = [
-                (i, c)
-                for i in range(m)
-                for c in range(pivots[i] + 1, ell)
-                if c not in pivots
-            ]
-            for values in product(range(q), repeat=len(free)):
-                b = np.zeros((m, ell), dtype=np.int64)
-                for i, p in enumerate(pivots):
-                    b[i, p] = 1
-                for (i, c), v in zip(free, values):
-                    b[i, c] = v
-                yield b
+
+    def stacks():
+        for m in range(ell + 1):
+            for pivots in combinations(range(ell), m):
+                # free positions: entries (i, c) with c > pivots[i], c not a pivot
+                rows, cols = np.array([
+                    (i, c)
+                    for i in range(m)
+                    for c in range(pivots[i] + 1, ell)
+                    if c not in pivots
+                ], dtype=np.intp).reshape(-1, 2).T
+                count = q ** len(rows)
+                for lo in range(0, count, batch):
+                    # reversed: index_vector counts its first entry fastest, product its last
+                    values = index_vector(np.arange(lo, min(lo + batch, count)), len(rows), q)
+                    b = np.zeros((len(values), m, ell), dtype=np.int64)
+                    b[:, np.arange(m), list(pivots)] = 1
+                    b[:, rows, cols] = values[:, ::-1]
+                    yield b
+
+    return stacks()
+
+
+def ranks(field: Field, stack: np.ndarray) -> np.ndarray:
+    """Rank of each matrix of a (b, rows, cols) stack.
+
+    One elimination runs over the whole stack, a column at a time: each
+    matrix that has a nonzero entry below its pivots in the column moves
+    it up, scales it to 1 and clears the rows below.  The rank is the same
+    for the transpose, so the shorter side is eliminated.
+    """
+    x = np.asarray(stack, dtype=np.int64)
+    if x.shape[1] < x.shape[2]:
+        x = x.transpose(0, 2, 1)
+    x = x.copy()
+    b, rows, cols = x.shape
+    rk = np.zeros(b, dtype=np.int64)
+    below = np.arange(rows)
+    for col in range(cols):
+        cand = (x[:, :, col] != 0) & (below >= rk[:, None])
+        hit = np.flatnonzero(cand.any(axis=1))
+        if col == cols - 1 or not hit.size:
+            rk[hit] += 1  # the last column needs no elimination
+            continue
+        lead, top = cand[hit].argmax(axis=1), rk[hit]
+        piv = x[hit, lead]
+        x[hit, lead] = x[hit, top]
+        piv = field.mul(field.inv(piv[:, col])[:, None], piv)
+        f = np.where(below > top[:, None], x[hit, :, col], 0)
+        x[hit] = field.sub(x[hit], field.mul(f[:, :, None], piv[:, None, :]))
+        x[hit, top] = piv
+        rk[hit] += 1
+    return rk
 
 
 def vector_index(v, q: int) -> int:

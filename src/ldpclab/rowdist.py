@@ -23,6 +23,7 @@ from .gf import Field, field_new
 Real = Union[Fraction, float]
 
 TABLE_GUARD = 10 ** 6  # cells of any dense table indexed by F_q^l
+STACK_CELLS = 1 << 16  # cells of each array rstar builds for one stack of kernels
 SEARCH_SUPPORT_CAP, SEARCH_DENOMINATOR = 8, 24  # threshold search: support, mass grain
 
 
@@ -39,7 +40,7 @@ class RowDistribution:
         if isinstance(ell, bool) or not isinstance(ell, (int, np.integer)) or ell < 1:
             raise MalformedInput(f"ell = {ell!r} must be an integer >= 1")
         items = []
-        for vec, mass in sorted(d.items()):
+        for vec, mass in d.items():
             try:
                 ints = tuple(int(x) for x in vec)
             except (TypeError, ValueError):
@@ -54,6 +55,7 @@ class RowDistribution:
                 raise MalformedInput(f"negative mass at {vec}")
             if mass > 0:
                 items.append((vec, mass))
+        items.sort()  # every vector is checked first: mixed types cannot reach the sort
         total = sum(m for _, m in items)
         if total != 1:
             raise MalformedInput(f"masses sum to {total}, not 1")
@@ -118,13 +120,23 @@ def _exact_log_q(x: Fraction, q: int) -> Optional[int]:
     return None
 
 
+def _mass_terms(m: Fraction, q: int) -> tuple[Fraction, Optional[int], float]:
+    """A mass with its exact log_q (or None) and its float entropy term."""
+    x = float(m)
+    return m, _exact_log_q(m, q), x * math.log(x, q)
+
+
+def _entropy(terms: list[tuple[Fraction, Optional[int], float]]) -> Real:
+    """Base-q entropy of the masses of `terms` (from `_mass_terms`), summed
+    in list order; exact Fraction when every mass is a power of q."""
+    if all(lg is not None for _, lg, _ in terms):
+        return -sum(m * lg for m, lg, _ in terms)
+    return -sum(t for _, _, t in terms)
+
+
 def entropy_q(tau: RowDistribution) -> Real:
     """Base-q entropy; exact Fraction when every mass is a power of q."""
-    q = tau.field.q
-    logs = [_exact_log_q(m, q) for _, m in tau.masses]
-    if all(lg is not None for lg in logs):
-        return -sum(m * lg for (_, m), lg in zip(tau.masses, logs))
-    return -sum(float(m) * math.log(float(m), q) for _, m in tau.masses)
+    return _entropy([_mass_terms(m, tau.field.q) for _, m in tau.masses])
 
 
 def span_dim(tau: RowDistribution) -> int:
@@ -181,10 +193,12 @@ def expectation_threshold(tau: RowDistribution) -> Real:
     d = span_dim(tau)
     if d == 0:
         raise PreconditionError("point mass at 0 has d(tau) = 0")
-    h = entropy_q(tau)
-    if isinstance(h, Fraction):
-        return 1 - h / d
-    return 1.0 - h / d
+    return _threshold(entropy_q(tau), d)
+
+
+def _threshold(h: Real, d: int) -> Real:
+    """1 - h / d, exact when the entropy h is."""
+    return 1 - h / d if isinstance(h, Fraction) else 1.0 - h / d
 
 
 @dataclass
@@ -222,21 +236,63 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     vector is kept and gives threshold 1: a code containing a tau-matrix
     then contains one fixed nonzero word, which a random linear code of
     any rate R < 1 contains with probability q^{-(1-R) n} -> 0.
+
+    Kernels are scored a stack of `enumerate_subspaces` at a time, each
+    array of a stack holding about STACK_CELLS cells (0.5 MiB), so memory
+    stays flat whatever the number of kernels.  A kernel K in RREF
+    gives its annihilator A with no elimination (the identity on the free
+    columns, -K on the pivot ones); one `matmul` maps the support under
+    every A of the stack, and the masses are summed per image, in the
+    image order of `implied_distribution`.  d of the image is
+    dim S - dim(K & S) for S the span of the support, from one stacked
+    rank.  Each kernel's threshold is then the `expectation_threshold` of
+    its implied distribution, with the same expressions: an exact Fraction
+    when every image mass is q^-e, otherwise a float summed by Python's
+    `sum` in image order.  The first kernel in enumeration order wins a
+    tie (strict `>`, Fractions compared with floats exactly).
     """
     r_exp = expectation_threshold(tau)
+    fld, ell, n = tau.field, tau.ell, len(tau.masses)
+    stacks = linalg.enumerate_subspaces(fld, ell, max(1, STACK_CELLS // (ell * max(ell, n))))
+    supp = tau.support_matrix()
+    perp = linalg.kernel_basis(fld, supp)  # its columns span S^perp, S = span(supp)
+    s = ell - perp.shape[1]
+    den = math.lcm(*(m.denominator for _, m in tau.masses))
+    nums = np.array([m.numerator * (den // m.denominator) for _, m in tau.masses],
+                    dtype=np.int64 if den < 2 ** 63 else object)  # they sum to den
+    terms: dict[int, tuple] = {}  # image mass numerator -> _mass_terms
     best: Optional[Real] = None
-    best_kernel = best_implied = None
-    for kernel in linalg.enumerate_subspaces(tau.field, tau.ell):
-        if kernel.shape[0] == tau.ell:
+    best_kernel = None
+    for kernels in stacks:
+        b, m, _ = kernels.shape
+        if m == ell:
             continue  # full space: A would have rank 0
-        implied = implied_distribution(tau, kernel)
-        if implied.support() == [(0,) * implied.ell]:
-            continue  # spans {0}
-        r = expectation_threshold(implied)
-        if best is None or r > best:
-            best, best_kernel, best_implied = r, kernel, implied
+        # (b, l, l - m): the columns of each are the rows of its A
+        ann = linalg.rref_kernel_basis(fld, kernels, (kernels[0] != 0).argmax(axis=1).tolist())
+        images = linalg.matmul(fld, ann.transpose(0, 2, 1), supp.T)  # (b, l - m, n): A.v_i
+        # codes < q^(l - m), far inside int64 for any F_q^l the subspace guard admits
+        codes = images[:, 0]
+        for j in range(1, ell - m):  # first coordinate most significant: tuple order
+            codes = codes * fld.q + images[:, j]
+        order = np.argsort(codes, axis=1)
+        codes = np.sort(codes, axis=1)
+        starts = np.ones(codes.shape, dtype=bool)
+        starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
+        sums = np.add.reduceat(nums[order].ravel(), np.flatnonzero(starts)).tolist()
+        # dim(K & S) = m - rank(K perp), and d = dim S - dim(K & S)
+        dims = s - m + linalg.ranks(fld, linalg.matmul(fld, kernels, perp))
+        for num in set(sums).difference(terms):
+            terms[num] = _mass_terms(Fraction(num, den), fld.q)
+        pos = 0
+        for k, (groups, d) in enumerate(zip(starts.sum(axis=1).tolist(), dims.tolist())):
+            masses, pos = sums[pos:pos + groups], pos + groups
+            if d == 0:
+                continue  # every image is 0
+            r = _threshold(_entropy([terms[num] for num in masses]), d)
+            if best is None or r > best:
+                best, best_kernel = r, kernels[k]
     assert best is not None  # the zero kernel always yields a candidate
-    return ThresholdReport(r_exp, best, best_kernel, best_implied)
+    return ThresholdReport(r_exp, best, best_kernel.copy(), implied_distribution(tau, best_kernel))
 
 
 # ---------------------------------------------------------------------------

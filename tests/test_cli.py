@@ -334,10 +334,14 @@ def test_bad_input_rate_zero_denominator():
     (["threshold", "--tau", "{file}"],
      {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0.9], 1, 2], [[1.7], 1, 2]]},
      "(0.9,) is not a vector of integers"),
+    # vectors of mixed types are checked before they are sorted
+    (["threshold", "--tau", "{file}"],
+     {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0], 1, 2], [["a"], 1, 2]]},
+     "('a',) is not a vector of integers"),
 ], ids=["tau-ell-0", "tau-ell-float", "tau-ell-true", "matrix-without-columns",
         "listdecode-no-rate", "threshold-empirical-no-rate", "field-prime-past-2^16",
         "field-degree-1e8", "field-degree-5000", "matrix-fractional-entry",
-        "matrix-entry-past-int64", "tau-fractional-entry"])
+        "matrix-entry-past-int64", "tau-fractional-entry", "tau-mixed-vector-types"])
 def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

@@ -253,6 +253,8 @@ def test_has_codeword_of_weight_guard(monkeypatch):
     with pytest.raises(CodeTooLarge, match=r"^the radius-13 ball has 21977516 vectors, "
                                            r"more than 16777216$"):
         ensembles.has_codeword_of_weight(code, 13)
+    # no codeword weighs more than n = 25: answered with no walk
+    assert ensembles.has_codeword_of_weight(code, 26) is False
 
 
 @pytest.mark.parametrize("fld,n", [(F3, 9), (field_new(2, 2), 6), (F2, 70)])

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +159,8 @@ def test_gaussian_binomials():
 def test_enumerate_subspaces_complete_distinct_rref(p, ell):
     f = field_new(p)
     seen = set()
-    for b in linalg.enumerate_subspaces(f, ell):
+    stacks = linalg.enumerate_subspaces(f, ell, linalg.MAX_SUBSPACES)
+    for b in (b for stack in stacks for b in stack):
         r, rk, _ = linalg.rref(f, b) if b.shape[0] else (b, 0, [])
         assert rk == b.shape[0]  # basis rows independent and already RREF
         if b.shape[0]:
@@ -166,10 +169,67 @@ def test_enumerate_subspaces_complete_distinct_rref(p, ell):
     assert len(seen) == linalg.subspace_count(ell, p)
 
 
+def enumerate_subspaces_oracle(field, ell):
+    """One RREF basis at a time: dimensions ascending, pivot sets in
+    `combinations` order, free entries in `product` order."""
+    q = field.q
+    yield np.zeros((0, ell), dtype=np.int64)
+    for m in range(1, ell + 1):
+        for pivots in combinations(range(ell), m):
+            free = [(i, c) for i in range(m) for c in range(pivots[i] + 1, ell)
+                    if c not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                b = np.zeros((m, ell), dtype=np.int64)
+                for i, p in enumerate(pivots):
+                    b[i, p] = 1
+                for (i, c), v in zip(free, values):
+                    b[i, c] = v
+                yield b
+
+
+@pytest.mark.parametrize("p,h,ell", [(2, 1, 3), (3, 1, 2), (2, 1, 4), (2, 2, 3), (5, 1, 3)])
+@pytest.mark.parametrize("batch", [1, 3, linalg.MAX_SUBSPACES])
+def test_enumerate_subspaces_stacks_follow_the_per_basis_order(p, h, ell, batch):
+    # the stacks, read in order, are the oracle's bases in the oracle's
+    # order; each holds at most `batch` bases sharing one pivot set
+    f = field_new(p, h)
+    flat = []
+    for stack in linalg.enumerate_subspaces(f, ell, batch):
+        assert stack.dtype == np.int64 and stack.ndim == 3 and 1 <= len(stack) <= batch
+        pivots = (stack != 0).argmax(axis=2)
+        assert (pivots == pivots[0]).all()
+        flat.extend(stack)
+    expected = list(enumerate_subspaces_oracle(f, ell))
+    assert len(flat) == len(expected) == linalg.subspace_count(ell, f.q)
+    for b, e in zip(flat, expected):
+        assert b.shape == e.shape and np.array_equal(b, e)
+
+
 def test_enumerate_subspaces_guard():
+    # refused at the call, before any stack is built
     f = field_new(2)
     with pytest.raises(ResourceGuardError, match="subspaces of F_"):
-        next(linalg.enumerate_subspaces(f, 50))
+        linalg.enumerate_subspaces(f, 50, 1)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ranks_match_rref(p, h, data):
+    # stacks with empty sides, zero and repeated rows, and more columns
+    # than rows (eliminated as the transpose)
+    f = field_new(p, h)
+    rows = data.draw(st.integers(0, 5), label="rows")
+    cols = data.draw(st.integers(0, 5), label="cols")
+    b = data.draw(st.integers(1, 6), label="stack")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, f.q, size=(b, rows, cols))
+    stack[rng.random(size=(b, rows)) < 0.3] = 0
+    if rows > 1:
+        stack[:, -1] = stack[:, 0]
+    expected = [linalg.rank(f, m) if m.size else 0 for m in stack]
+    assert linalg.ranks(f, stack).tolist() == expected
 
 
 def test_vector_index_roundtrip():

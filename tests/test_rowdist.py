@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ def test_rstar_monotone_under_implication_and_data_processing():
         if rowdist.span_dim(tau) == 0:
             continue
         r = rowdist.rstar(tau).r_star
-        for kernel in linalg.enumerate_subspaces(F2, 3):
+        for kernel in (k for stack in linalg.enumerate_subspaces(F2, 3, 16) for k in stack):
             if kernel.shape[0] == 3:
                 continue
             implied = rowdist.implied_distribution(tau, kernel)
@@ -141,6 +142,109 @@ def test_rstar_monotone_under_implication_and_data_processing():
             if rowdist.span_dim(implied) == 0:
                 continue
             assert rowdist.rstar(implied).r_star <= r + 1e-12
+
+
+def rstar_oracle(tau):
+    """The per-kernel scan: every proper subspace in enumeration order
+    gives its implied distribution through `implied_distribution`, scored
+    by the expectation threshold written out here; the first strict
+    maximum wins."""
+    def threshold(t):
+        q = t.field.q
+        logs = [rowdist._exact_log_q(m, q) for _, m in t.masses]
+        if all(lg is not None for lg in logs):
+            h = -sum(m * lg for (_, m), lg in zip(t.masses, logs))
+        else:
+            h = -sum(float(m) * math.log(float(m), q) for _, m in t.masses)
+        d = rowdist.span_dim(t)
+        return 1 - h / d if isinstance(h, Fraction) else 1.0 - h / d
+
+    best = None
+    stacks = linalg.enumerate_subspaces(tau.field, tau.ell, linalg.MAX_SUBSPACES)
+    for kernel in (k for stack in stacks for k in stack):
+        if kernel.shape[0] == tau.ell:
+            continue
+        implied = rowdist.implied_distribution(tau, kernel)
+        if implied.support() == [(0,) * implied.ell]:
+            continue
+        r = threshold(implied)
+        if best is None or r > best:
+            best, best_kernel, best_implied = r, kernel, implied
+    return rowdist.ThresholdReport(threshold(tau), best, best_kernel, best_implied)
+
+
+def assert_rstar_matches_oracle(tau, stack_cells=rowdist.STACK_CELLS):
+    # a small `stack_cells` splits pivot sets over several stacks
+    with mock.patch.object(rowdist, "STACK_CELLS", stack_cells):
+        rep = rowdist.rstar(tau)
+    ref = rstar_oracle(tau)
+    assert rep.to_json() == ref.to_json()
+    assert type(rep.r_star) is type(ref.r_star)
+    assert type(rep.r_expected) is type(ref.r_expected)
+
+
+RSTAR_FIELDS = {2: F2, 3: F3, 4: field_new(2, 2), 5: field_new(5)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rstar_matches_oracle(q, data):
+    # dense tau (every vector of F_q^l while the oracle is quick, else up
+    # to 8 vectors), a support spanning a proper subspace, a point mass at
+    # a nonzero vector, and masses that are all powers of q, made by
+    # splitting one mass q ways at a time: their images mix exact and
+    # float thresholds, so the Fraction-against-float tie rule runs too
+    fld = RSTAR_FIELDS[q]
+    ell = data.draw(st.integers(1, 4), label="ell")
+    size = q ** ell
+    kind = data.draw(st.sampled_from(["dense", "subspace", "point", "powers"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if kind == "powers":
+        d = {0: Fraction(1)}
+        for _ in range(data.draw(st.integers(0, 3), label="splits")):
+            if len(d) + q - 1 > size:
+                break
+            v = list(d)[int(rng.integers(len(d)))]
+            d[v] /= q
+            for u in rng.choice(np.setdiff1d(np.arange(size), list(d)), size=q - 1, replace=False):
+                d[int(u)] = d[v]
+        if list(d) == [0]:
+            return  # the point mass at 0 has no threshold
+    else:
+        if kind == "dense" and size <= 125:
+            idx = list(range(size))
+        elif kind == "point":
+            idx = [int(rng.integers(1, size))]
+        else:  # up to 8 vectors of a random subspace, proper for "subspace"
+            dim = int(rng.integers(1, ell)) if kind == "subspace" and ell > 1 else ell
+            basis = rng.integers(0, q, size=(dim, ell))
+            coeffs = rng.choice(q ** dim, size=min(q ** dim, 8), replace=False)
+            vecs = linalg.matmul(fld, linalg.index_vector(coeffs, dim, q), basis)
+            idx = sorted({linalg.vector_index(v, q) for v in vecs} - {0}) or [1]
+        # weights past 2^63 make the common denominator overflow int64
+        top = data.draw(st.sampled_from([6, 2 ** 70]), label="top")
+        weights = data.draw(st.lists(st.integers(1, top), min_size=len(idx), max_size=len(idx)),
+                            label="weights")
+        d = {i: Fraction(w, sum(weights)) for i, w in zip(idx, weights)}
+    tau = rowdist.RowDistribution.from_dict(
+        fld, ell, {tuple(linalg.index_vector(i, ell, q).tolist()): m for i, m in d.items()})
+    cells = data.draw(st.sampled_from([rowdist.STACK_CELLS, 1, 50]), label="stack cells")
+    assert_rstar_matches_oracle(tau, cells)
+
+
+def test_rstar_over_a_large_field():
+    # F_1009^2 has 1012 subspaces: answered, as by the per-kernel scan,
+    # with no table over the 1009^2 vectors; full span and a line
+    fld = field_new(1009)
+    rng = np.random.default_rng(5)
+    for vecs in (rng.integers(0, 1009, size=(20, 2)),
+                 np.outer(rng.integers(1, 1009, size=20), [1, 5]) % 1009):
+        d = {tuple(int(x) for x in v): Fraction(1, 20) for v in vecs}
+        total = sum(d.values())
+        tau = rowdist.RowDistribution.from_dict(fld, 2, {v: m / total for v, m in d.items()})
+        for cells in (rowdist.STACK_CELLS, 3000):  # the 1009 lines in one stack, or split
+            assert_rstar_matches_oracle(tau, cells)
 
 
 def test_smoothness_iff_full_span():
