@@ -7,7 +7,7 @@ batched layer sampler draws each layer's sort keys and units: `sample_ldpc`
 (one trial) orders the keys by a stable argsort, and the Monte Carlo
 estimator (many) finds the slot of each of M's nonzero rows by counting
 smaller keys.  Sampling is driven by a counter-based PRNG (numpy Philox
-keyed on the 64-bit seed), so a (params, seed) pair reproduces a code
+keyed on a seed in [0, 2^128)), so a (params, seed) pair reproduces a code
 bit-for-bit and Monte Carlo workers can partition seed space
 deterministically.
 """
@@ -31,6 +31,9 @@ RLC_CHUNK, LDPC_CHUNK = 1 << 12, 1 << 14  # MC trials per batch; fixes LDPC's st
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    """The Philox stream keyed on `seed`, which must be a 128-bit key."""
+    if not 0 <= seed < 1 << 128:
+        raise PreconditionError(f"seed {seed} is outside [0, 2^128)")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -57,10 +57,15 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rref(field: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    Over F_2 each row is packed into a Python int (bit j is column j, so
-    any width works) and rows are eliminated by XOR; over other fields
-    each pivot clears its whole column in one array update.  The RREF is
-    unique, so both give the same R as a row-at-a-time elimination.
+    Over F_2 the whole matrix is one Python int: row i sits at bits
+    [iW, (i+1)W) with W = 8 * ceil(cols / 8), bit j of a row being column
+    j (numpy's little-endian `packbits` layout).  Per column, one shift
+    and one AND against "bit 0 of every row" give the set S of rows that
+    hold it; a swap is two XORs, and `big ^= p * (S minus the pivot row)`
+    adds the pivot row p to every other row of S in one carry-free
+    multiply.  Over other fields each pivot clears its whole column in
+    one array update.  The RREF is unique, so both give the same R as a
+    row-at-a-time elimination.  R is always a fresh int64 array.
     """
     r = as_matrix(m)
     if field.q == 2:
@@ -91,27 +96,36 @@ def rref(field: Field, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 def _rref_gf2(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     rows, cols = m.shape
+    if not rows or not cols:
+        return np.zeros((rows, cols), dtype=np.int64), 0, []
     packed = np.packbits(m.astype(np.uint8), axis=1, bitorder="little")
-    r = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    width = packed.shape[1]
+    w = 8 * width
+    big = int.from_bytes(packed.tobytes(), "little")  # row i at bits [i*w, (i+1)*w)
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * rows, "little")  # bit 0 of each row
+    mask = (1 << w) - 1
     pivots: list[int] = []
     pr = 0
     for col in range(cols):
         if pr >= rows:
             break
-        bit = 1 << col
-        lead = next((i for i in range(pr, rows) if r[i] & bit), None)
-        if lead is None:
+        hold = (big >> col) & ones  # bit i*w set iff row i holds the column
+        below = hold >> (pr * w)
+        if not below:
             continue
-        r[pr], r[lead] = r[lead], r[pr]
-        p = r[pr]
-        r = [x ^ p if x & bit else x for x in r]
-        r[pr] = p
+        lead = pr + ((below & -below).bit_length() - 1) // w
+        p = (big >> (lead * w)) & mask
+        if lead != pr:
+            d = p ^ ((big >> (pr * w)) & mask)
+            big ^= (d << (pr * w)) | (d << (lead * w))
+            hold ^= (1 << (pr * w)) | (1 << (lead * w))
+        # p < 2^w and hold's bits are w apart: one carry-free multiply adds
+        # the pivot row to every other row that holds the column
+        big ^= p * (hold ^ (1 << (pr * w)))
         pivots.append(col)
         pr += 1
-    width = packed.shape[1]
-    data = b"".join(x.to_bytes(width, "little") for x in r)
-    bits = np.frombuffer(data, dtype=np.uint8).reshape(rows, width)
-    out = np.unpackbits(bits, axis=1, count=cols, bitorder="little")
+    bits = np.frombuffer(big.to_bytes(rows * width, "little"), dtype=np.uint8)
+    out = np.unpackbits(bits.reshape(rows, width), axis=1, count=cols, bitorder="little")
     return out.astype(np.int64), len(pivots), pivots
 
 
@@ -132,7 +146,9 @@ def rref_kernel_basis(field: Field, r: np.ndarray, pivots) -> np.ndarray:
     with the same pivot columns), and each basis is the identity on the
     free columns and -r's free entries on the pivot ones."""
     cols = r.shape[-1]
-    free = [c for c in range(cols) if c not in pivots]
+    is_free = np.ones(cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros(r.shape[:-2] + (cols, len(free)), dtype=np.int64)
     basis[..., free, range(len(free))] = 1
     basis[..., list(pivots), :] = field.neg(r[..., free])

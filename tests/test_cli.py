@@ -349,6 +349,21 @@ def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     assert message in assert_bad_input(argv + ["--seed", "0"])
 
 
+@pytest.mark.parametrize("argv,seed,refused", [
+    (["sample", "--field", "2", "--n", "8", "--rate", "1/2"], -1, -1),
+    (["sample", "--field", "2", "--n", "8", "--rate", "1/2"], 2 ** 128, 2 ** 128),
+    (["listdecode", "--field", "2", "--n", "8", "--s", "4", "--alpha", "0.25", "--trials", "1"],
+     -2, -2),
+    # the sweep draws code i at seed + i, so the second code's key is 2^128
+    (["distance-profile", "--field", "2", "--n", "12", "--rate", "1/3", "--delta", "0.1",
+      "--eps", "0.1", "--s", "3", "--empirical", "--trials", "2"], 2 ** 128 - 1, 2 ** 128),
+], ids=["sample-seed-negative", "sample-seed-2^128", "listdecode-seed-negative",
+        "sweep-seed-past-2^128"])
+def test_bad_input_seed_outside_the_philox_key(argv, seed, refused):
+    err = assert_bad_input(argv + ["--seed", str(seed)])
+    assert err == f"precondition violated: seed {refused} is outside [0, 2^128)\n"
+
+
 def test_threshold_empirical_rejects_fractional_weight(tmp_path):
     # tau(1) * n = 10/4 is not a weight; truncating it would sweep weight 2
     tau = rowdist.RowDistribution.from_dict(

@@ -91,6 +91,46 @@ def test_rref_edge_shapes_match_row_oracle(p, h, shape):
         assert_matches_oracle(f, np.repeat(m[:1], shape[0], axis=0))
 
 
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 47, 48, 49, 63, 64, 65, 127, 128, 129])
+def test_rref_gf2_packed_widths_match_row_oracle(cols):
+    # F_2 rows are packed W = 8 * ceil(cols / 8) bits apart in one integer:
+    # widths on each side of a byte and of a 64-bit word, with fewer, as
+    # many and more rows than columns, dense and sparse
+    f = field_new(2)
+    rng = np.random.default_rng(cols)
+    for rows in (1, cols - 1, cols, cols + 1, 70):
+        for density in (0.5, 0.05):
+            assert_matches_oracle(f, (rng.random((rows, cols)) < density).astype(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 9), (9, 5), (48, 48), (70, 65)])
+@pytest.mark.parametrize("fill", ["zeros", "ones", "repeated-row"])
+def test_rref_gf2_degenerate_matrices_match_row_oracle(shape, fill):
+    f = field_new(2)
+    rank = 0 if fill == "zeros" else 1
+    if fill == "repeated-row":
+        row = np.random.default_rng(7).integers(0, 2, size=shape[1])
+    else:
+        row = np.full(shape[1], rank)
+    row[0] = rank
+    m = np.tile(row, (shape[0], 1))
+    assert_matches_oracle(f, m)
+    assert linalg.rref(f, m)[1] == rank
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (9, 3), (6, 70)])
+def test_rref_returns_a_fresh_writable_array(p, h, shape):
+    f = field_new(p, h)
+    m = np.random.default_rng(8).integers(0, f.q, size=shape)
+    before = m.copy()
+    r = linalg.rref(f, m)[0]
+    assert r.dtype == np.int64 and r.shape == shape and r.flags.writeable
+    assert not np.shares_memory(r, m)
+    r[...] = 1
+    assert np.array_equal(m, before)
+
+
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_rref_idempotent_and_kernel(p, h):
     f = field_new(p, h)
