@@ -375,6 +375,10 @@ def min_distance(code: LinearCode) -> tuple[float, np.ndarray]:
     weighs at most LB.  If it never does, the last step has enumerated
     every message of G_1.  Each set keeps only the sums of one weight
     below the step, rebuilt from the one before when a step needs them.
+    Keeping each level as it is scanned would spare the re-sums, but it
+    holds the scanned level whole: the peak would be L(v-1) + L(v) rows
+    instead of L(v-2) + 2 L(v-1), over F_2 at k = 32, v = 8 about 111 MB
+    instead of 62 MB.
     """
     fld, n, k = code.field, code.n, code.dimension
     if k == 0:

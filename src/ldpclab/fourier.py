@@ -53,13 +53,12 @@ class ComplexDistribution:
 
 def scalar_twist(tau: RowDistribution) -> ComplexDistribution:
     """Distribution of lambda*v for v ~ tau and lambda uniform in F_q^*."""
-    fld = tau.field
-    q = fld.q
+    fld, q = tau.field, tau.field.q
     out = ComplexDistribution.zeros(fld, tau.ell)
-    for v, m in tau.masses:
-        va = np.array(v, dtype=np.int64)
-        for lam in fld.units():
-            out.values[linalg.vector_index(fld.mul(lam, va), q)] += float(m) / (q - 1)
+    twisted = fld.mul(np.arange(1, q)[:, None], tau.support_matrix()[:, None])  # (|supp|, q-1, l)
+    # np.add.at adds the masses in (v, lambda) order, as one += per pair would
+    np.add.at(out.values, twisted @ q ** np.arange(tau.ell),
+              [[float(m) / (q - 1)] for _, m in tau.masses])
     return out
 
 

@@ -55,15 +55,15 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
 
 
 def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a mod m over F_p for a monic m: the trial divisors and the modulus."""
     a = list(a)
     dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p) if m[-1] != 1 else 1
     while len(a) - 1 >= dm and any(a):
         while a and a[-1] == 0:
             a.pop()
         if len(a) - 1 < dm:
             break
-        factor = (a[-1] * inv_lead) % p
+        factor = a[-1]
         shift = len(a) - 1 - dm
         for i, mi in enumerate(m):
             a[shift + i] = (a[shift + i] - factor * mi) % p
@@ -110,12 +110,17 @@ def _poly_to_int(f: tuple[int, ...], p: int) -> int:
     return e
 
 
+def _check_integers(p, h) -> None:
+    """Refuse a p or h that is not an integer, a bool included (True == 1)."""
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (p, h)):
+        raise PreconditionError(f"p = {p!r} and h = {h!r} must be integers")
+
+
 class Field:
     """An immutable F_q with log/antilog tables, trace, and characters."""
 
     def __init__(self, p: int, h: int):
-        if not all(isinstance(x, (int, np.integer)) for x in (p, h)):
-            raise PreconditionError(f"p = {p!r} and h = {h!r} must be integers")
+        _check_integers(p, h)
         if h < 1:
             raise PreconditionError(f"extension degree must be >= 1, got {h}")
         if p > MAX_Q or (p >= 2 and h > 16):  # then p^h > MAX_Q: refused before a primality test
@@ -277,6 +282,7 @@ _field_cache: dict[tuple[int, int], Field] = {}
 
 def field_new(p: int, h: int = 1) -> Field:
     """Construct (or fetch the cached) F_{p^h} with its canonical modulus."""
+    _check_integers(p, h)  # before the lookup: (2, True) == (2, 1)
     key = (p, h)
     if key not in _field_cache:
         _field_cache[key] = Field(p, h)

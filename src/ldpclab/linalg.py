@@ -25,7 +25,10 @@ def as_matrix(entries, field: Field | None = None) -> np.ndarray:
         m = np.asarray(entries, dtype=np.int64)
     except (TypeError, ValueError, OverflowError) as e:
         raise MalformedInput(f"not an integer matrix: {e}") from None
-    if m is not entries and not np.array_equal(m, entries):  # the cast truncated
+    truncated = m is not entries and not np.array_equal(m, entries)
+    # the cast reads a bool as 0 or 1, so a list is searched for one
+    if truncated or not isinstance(entries, np.ndarray) and any(
+            isinstance(x, bool) for x in np.asarray(entries, dtype=object).ravel().tolist()):
         raise MalformedInput("matrix entry is not an integer")
     if m.ndim != 2:
         raise MalformedInput(f"expected a 2-D matrix, got shape {m.shape}")

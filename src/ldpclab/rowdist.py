@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -45,7 +46,8 @@ class RowDistribution:
                 ints = tuple(int(x) for x in vec)
             except (TypeError, ValueError):
                 ints = None
-            if ints != tuple(vec):  # int() truncated, or refused, an entry
+            # int() truncated, or refused, an entry, or read a bool as 0 or 1
+            if ints != tuple(vec) or any(isinstance(x, bool) for x in vec):
                 raise MalformedInput(f"{tuple(vec)} is not a vector of integers")
             vec = ints
             if len(vec) != ell or not all(0 <= x < field.q for x in vec):
@@ -93,6 +95,10 @@ class RowDistribution:
             d = {tuple(v): Fraction(num, den) for v, num, den in doc["masses"]}
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise MalformedInput(f"malformed distribution JSON: {e!r}") from None
+        for v, num, den in doc["masses"]:
+            if isinstance(num, bool) or isinstance(den, bool):
+                raise MalformedInput(f"mass {num!r}/{den!r} at {tuple(v)} is not a ratio of "
+                                     "integers")
         return RowDistribution.from_dict(field_new(p, h), ell, d)
 
 
@@ -100,10 +106,7 @@ def row_distribution_of(field: Field, m: np.ndarray) -> RowDistribution:
     """Empirical distribution of the rows of an n x l matrix."""
     m = linalg.as_matrix(m)
     n = m.shape[0]
-    counts: dict[tuple[int, ...], int] = {}
-    for row in m:
-        key = tuple(int(x) for x in row)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(map(tuple, m.tolist()))
     return RowDistribution.from_dict(
         field, m.shape[1], {v: Fraction(c, n) for v, c in counts.items()}
     )
@@ -201,6 +204,11 @@ def _threshold(h: Real, d: int) -> Real:
     return 1 - h / d if isinstance(h, Fraction) else 1.0 - h / d
 
 
+def _real_json(x: Real) -> list[int] | float:
+    """An exact threshold as [numerator, denominator], a float as itself."""
+    return [x.numerator, x.denominator] if isinstance(x, Fraction) else float(x)
+
+
 @dataclass
 class ThresholdReport:
     r_expected: Real
@@ -211,14 +219,8 @@ class ThresholdReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "r_expected": [Fraction(self.r_expected).numerator,
-                               Fraction(self.r_expected).denominator]
-                if isinstance(self.r_expected, Fraction)
-                else float(self.r_expected),
-                "r_star": [Fraction(self.r_star).numerator,
-                           Fraction(self.r_star).denominator]
-                if isinstance(self.r_star, Fraction)
-                else float(self.r_star),
+                "r_expected": _real_json(self.r_expected),
+                "r_star": _real_json(self.r_star),
                 "kernel_rows": self.kernel.tolist(),
                 "implied": json.loads(self.implied.to_json()),
             },
@@ -270,10 +272,9 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
         # (b, l, l - m): the columns of each are the rows of its A
         ann = linalg.rref_kernel_basis(fld, kernels, (kernels[0] != 0).argmax(axis=1).tolist())
         images = linalg.matmul(fld, ann.transpose(0, 2, 1), supp.T)  # (b, l - m, n): A.v_i
-        # codes < q^(l - m), far inside int64 for any F_q^l the subspace guard admits
-        codes = images[:, 0]
-        for j in range(1, ell - m):  # first coordinate most significant: tuple order
-            codes = codes * fld.q + images[:, j]
+        # codes < q^(l - m), first coordinate most significant (tuple order): far
+        # inside int64 for any F_q^l the subspace guard admits
+        codes = fld.q ** np.arange(ell - m - 1, -1, -1) @ images
         order = np.argsort(codes, axis=1)
         codes = np.sort(codes, axis=1)
         starts = np.ones(codes.shape, dtype=bool)

@@ -338,10 +338,28 @@ def test_bad_input_rate_zero_denominator():
     (["threshold", "--tau", "{file}"],
      {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0], 1, 2], [["a"], 1, 2]]},
      "('a',) is not a vector of integers"),
+    # a JSON boolean is no integer, though True == 1
+    (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
+     {"field": {"p": 2}, "rows": [[True, False], [False, True], [True, True]]},
+     "matrix entry is not an integer"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0], 1, 2], [[True], 1, 2]]},
+     "(True,) is not a vector of integers"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0], True, 2], [[1], 1, 2]]},
+     "mass True/2 at (0,) is not a ratio of integers"),
+    (["threshold", "--tau", "{file}"],
+     {"ell": 1, "field": {"p": 2, "h": True}, "masses": [[[0], 1, 2], [[1], 1, 2]]},
+     "p = 2 and h = True must be integers"),
+    (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
+     {"field": {"p": 3, "h": True}, "rows": [[1, 0], [0, 1], [1, 1]]},
+     "p = 3 and h = True must be integers"),
 ], ids=["tau-ell-0", "tau-ell-float", "tau-ell-true", "matrix-without-columns",
         "listdecode-no-rate", "threshold-empirical-no-rate", "field-prime-past-2^16",
         "field-degree-1e8", "field-degree-5000", "matrix-fractional-entry",
-        "matrix-entry-past-int64", "tau-fractional-entry", "tau-mixed-vector-types"])
+        "matrix-entry-past-int64", "tau-fractional-entry", "tau-mixed-vector-types",
+        "matrix-bool-entries", "tau-bool-entry", "tau-bool-numerator", "tau-field-degree-true",
+        "matrix-field-degree-true"])
 def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

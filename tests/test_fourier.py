@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpclab import fourier, gvdistance, linalg
+from ldpclab import fourier, gvdistance, linalg, rowdist
 from ldpclab.ensembles import LdpcEnsembleParams
-from ldpclab.errors import NumericError, PreconditionError, StateSpaceTooLarge
+from ldpclab.errors import MalformedInput, NumericError, PreconditionError, StateSpaceTooLarge
 from ldpclab.gf import field_new
 from ldpclab.rowdist import RowDistribution
 
@@ -73,6 +73,62 @@ def test_scalar_twist():
     expect[1] = expect[2] = 0.5
     assert np.allclose(tw3.values, expect)
     assert tw3.is_probability()
+
+
+def row_distribution_oracle(field, m):
+    """Rows counted one at a time, each entry read with int()."""
+    m = linalg.as_matrix(m)
+    n = m.shape[0]
+    counts = {}
+    for row in m:
+        key = tuple(int(x) for x in row)
+        counts[key] = counts.get(key, 0) + 1
+    return RowDistribution.from_dict(
+        field, m.shape[1], {v: Fraction(c, n) for v, c in counts.items()})
+
+
+def scalar_twist_oracle(tau):
+    """One += per (v, lambda) pair, v in mass order and lambda = 1, ..., q - 1."""
+    fld = tau.field
+    q = fld.q
+    out = fourier.ComplexDistribution.zeros(fld, tau.ell)
+    for v, m in tau.masses:
+        va = np.array(v, dtype=np.int64)
+        for lam in fld.units():
+            out.values[linalg.vector_index(fld.mul(lam, va), q)] += float(m) / (q - 1)
+    return out
+
+
+TWIST_FIELDS = {2: F2, 3: F3, 4: F4, 5: field_new(5), 9: field_new(3, 2)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_distribution_and_twist_match_oracles(q, data):
+    # rows drawn with repeats from the zero vector, every unit multiple of
+    # one vector and a few others: a twist cell then sums the masses of
+    # several (v, lambda) pairs, so a changed summation order shows
+    fld = TWIST_FIELDS[q]
+    ell = data.draw(st.integers(1, 4), label="ell")
+    vector = st.lists(st.integers(0, q - 1), min_size=ell, max_size=ell)
+    base = np.array(data.draw(vector, label="base"), dtype=np.int64)
+    pool = ([[0] * ell] + [fld.mul(lam, base).tolist() for lam in fld.units()]
+            + data.draw(st.lists(vector, max_size=4), label="others"))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40), label="rows")
+    m = np.array(rows, dtype=np.int64)
+    tau = rowdist.row_distribution_of(fld, m)
+    assert tau.to_json() == row_distribution_oracle(fld, m).to_json()
+    assert fourier.scalar_twist(tau).values.tobytes() == scalar_twist_oracle(tau).values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+def test_row_distribution_of_refuses_empty_shapes(shape):
+    # no columns: ell = 0; no rows: no mass to sum to 1
+    m = np.zeros(shape, dtype=np.int64)
+    for count in (rowdist.row_distribution_of, row_distribution_oracle):
+        with pytest.raises(MalformedInput):
+            count(F2, m)
 
 
 def test_transform_of_uniform_and_point_mass():

@@ -172,6 +172,15 @@ def test_construction_errors():
         Field("2", 1)  # as read from a malformed input file
 
 
+@pytest.mark.parametrize("p,h", [(2, True), (3, True), (True, 1), (np.int64(2), False)])
+def test_bool_is_not_an_integer(p, h):
+    # (2, True) == (2, 1): the cache lookup alone would return F_2
+    field_new(2, 1)
+    for make in (field_new, Field):
+        with pytest.raises(PreconditionError, match="must be integers"):
+            make(p, h)
+
+
 def test_scalar_vs_array_consistency():
     f = field_new(3, 2)
     for a in range(f.q):

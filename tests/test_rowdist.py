@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpclab import linalg, rowdist
-from ldpclab.errors import PreconditionError, ResourceGuardError
+from ldpclab.errors import MalformedInput, PreconditionError, ResourceGuardError
 from ldpclab.gf import field_new
 
 F2 = field_new(2)
@@ -245,6 +245,29 @@ def test_rstar_over_a_large_field():
         tau = rowdist.RowDistribution.from_dict(fld, 2, {v: m / total for v, m in d.items()})
         for cells in (rowdist.STACK_CELLS, 3000):  # the 1009 lines in one stack, or split
             assert_rstar_matches_oracle(tau, cells)
+
+
+def test_real_json():
+    assert rowdist._real_json(Fraction(3, 4)) == [3, 4]
+    assert rowdist._real_json(Fraction(-2, 1)) == [-2, 1]
+    for x in (0.1, np.float64(0.1)):
+        out = rowdist._real_json(x)
+        assert out == 0.1 and type(out) is float
+    # masses 1/3 and 2/3 are no powers of 2: both thresholds are floats
+    tau = rowdist.RowDistribution.from_dict(F2, 1, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    rep = rowdist.rstar(tau)
+    assert '"r_expected": %r' % rep.r_expected in rep.to_json()
+    assert '"r_star": %r' % rep.r_star in rep.to_json()
+
+
+def test_bool_is_not_an_integer_entry():
+    with pytest.raises(MalformedInput, match=r"\(True,\) is not a vector of integers"):
+        rowdist.RowDistribution.from_dict(F2, 1, {(0,): Fraction(1, 2), (True,): Fraction(1, 2)})
+    text = '{"ell": 1, "field": {"p": 2, "h": 1}, "masses": [[[0], true, 2], [[1], 1, 2]]}'
+    with pytest.raises(MalformedInput, match="mass True/2 at \\(0,\\) is not a ratio"):
+        rowdist.RowDistribution.from_json(text)
+    with pytest.raises(MalformedInput, match="matrix entry is not an integer"):
+        linalg.as_matrix([[1, False], [0, 1]])
 
 
 def test_smoothness_iff_full_span():
