@@ -62,8 +62,11 @@ def _unit_interval(text: str) -> float:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as f:
-            f.write(text)
+        try:
+            with open(out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise MalformedInput(f"cannot write {out}: {e.strerror}") from None
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -120,17 +120,21 @@ class LinearCode:
         try:
             doc = json.loads(text)
             p, h, modulus = (doc["field"][key] for key in ("p", "h", "modulus"))
+            n, s, (num, den), seed = doc["n"], doc["s"], doc["rate"], doc["seed"]
+            if not all(type(x) is int for x in (n, s, num, den, seed)):  # a bool is no int here
+                raise TypeError(f"n = {n!r}, s = {s!r}, rate = {num!r}/{den!r} "
+                                f"and seed = {seed!r} must be integers")
             comma = p ** h > 10
             rows = [[int(c) for c in (row.split(",") if comma else row)]
                     for row in doc["h_rows"]]
-            hmat = np.array(rows, dtype=np.int64).reshape(len(rows), doc["n"])
-            rest = (doc["s"], Fraction(*doc["rate"]), doc["seed"])
-        except (KeyError, TypeError, ValueError) as e:
+            hmat = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+            rate = Fraction(num, den)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise MalformedInput(f"malformed code JSON: {e!r}") from None
         fld = field_new(p, h)
         if list(fld.modulus) != modulus:
             raise MalformedInput("field modulus mismatch in serialized code")
-        return cls(fld, linalg.as_matrix(hmat, fld), *rest)
+        return cls(fld, linalg.as_matrix(hmat, fld), s, rate, seed)
 
 
 def _rlc_rows(n: int, rate: Fraction) -> int:

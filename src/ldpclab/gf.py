@@ -2,11 +2,11 @@
 
 Elements are represented as integers in [0, q): the base-p digits of the
 integer are the coefficients of the residue polynomial (digit i is the
-coefficient of x^i).  Prime fields multiply and add mod p directly;
-extension fields multiply through log/antilog tables built from a fixed
-generator and add digit-wise mod p (XOR when p = 2).  The trace map,
-with Frobenius read off those tables, and the additive characters are
-precomputed at construction.
+coefficient of x^i).  Every field, prime or not, multiplies by one gather
+through log/antilog tables built from a fixed generator, padded so that
+zero needs no mask.  Prime fields add mod p, extension fields digit-wise
+mod p (XOR when p = 2).  The trace map, with Frobenius read off those
+tables, and the additive characters are precomputed at construction.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class Field:
         self.p, self.h, self.q = p, h, q
         self.modulus: tuple[int, ...] = () if h == 1 else _least_irreducible(p, h)
         if p != 2 and h > 1:
-            # digit i of element e is _digits[e, i]; _powers re-encodes digits
+            # for add: digit i of element e is _digits[e, i]; _powers re-encodes digits
             self._powers = p ** np.arange(h)
             self._digits = np.arange(q)[:, None] // self._powers % p
         self._build_tables()
@@ -164,7 +164,11 @@ class Field:
     def _build_tables(self) -> None:
         """The generator is the first g = 1, 2, ... of order q - 1, that is
         with g^((q-1)/r) != 1 for every prime r | q - 1; its one walk of
-        q - 1 powers is the antilog table."""
+        q - 1 powers is the antilog table `_exp`.
+
+        log 0 is 2(q - 1), past every sum of two unit logs, and `_exp_pad`
+        holds the walk twice and then zeros up to index 4(q - 1), so
+        `_exp_pad[log a + log b]` is a*b for every pair, zero included."""
         q = self.q
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
         g = next(g for g in range(1, q)
@@ -176,8 +180,10 @@ class Field:
         if x != 1:
             raise NumericError(f"generator {g} has order other than {q - 1}")
         self.generator = g
-        self._exp = np.array(exp, dtype=np.int64)
-        self._log = np.zeros(q, dtype=np.int64)
+        self._exp_pad = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        self._exp_pad[:2 * (q - 1)] = exp + exp  # the walk, twice
+        self._exp = self._exp_pad[:q - 1]
+        self._log = np.full(q, 2 * (q - 1), dtype=np.int64)
         self._log[self._exp] = np.arange(q - 1)
 
     def _build_trace(self) -> None:
@@ -210,37 +216,22 @@ class Field:
 
     def add(self, a, b):
         if self.p == 2:
-            return np.bitwise_xor(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a ^ b
+            return a ^ b
         if self.h == 1:
             return (a + b) % self.p
         out = (self._digits[a] + self._digits[b]) % self.p @ self._powers
         return out if out.shape else int(out)
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        if self.h == 1:
-            return (-np.asarray(a)) % self.p if isinstance(a, np.ndarray) else (-a) % self.p
-        out = -self._digits[a] % self.p @ self._powers
-        return out if out.shape else int(out)
+        # p - 1 encodes -1 of the prime subfield
+        return a if self.p == 2 else self.mul(a, self.p - 1)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        scalar = not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray))
-        if self.h == 1:
-            if scalar:
-                return int(a) * int(b) % self.p
-            return np.multiply(a, b, dtype=np.int64) % self.p
-        a, b = np.asarray(a), np.asarray(b)
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        if np.any(nz):
-            la = self._log[np.broadcast_to(a, out.shape)[nz]]
-            lb = self._log[np.broadcast_to(b, out.shape)[nz]]
-            out[nz] = self._exp[(la + lb) % (self.q - 1)]
-        return int(out) if scalar else out
+        out = self._exp_pad[self._log[a] + self._log[b]]
+        return out if out.shape else int(out)
 
     def inv(self, a):
         scalar = not isinstance(a, np.ndarray)

@@ -367,6 +367,17 @@ def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     assert message in assert_bad_input(argv + ["--seed", "0"])
 
 
+@pytest.mark.parametrize("out,reason", [
+    ("absent/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["out-missing-directory", "out-is-a-directory"])
+def test_bad_input_unwritable_out(tmp_path, out, reason):
+    path = tmp_path / out
+    err = assert_bad_input(["sample", "--field", "2", "--n", "12", "--rate", "1/3", "--s", "3",
+                            "--seed", "1", "--out", str(path)])
+    assert err == f"precondition violated: cannot write {path}: {reason}\n"
+
+
 @pytest.mark.parametrize("argv,seed,refused", [
     (["sample", "--field", "2", "--n", "8", "--rate", "1/2"], -1, -1),
     (["sample", "--field", "2", "--n", "8", "--rate", "1/2"], 2 ** 128, 2 ** 128),

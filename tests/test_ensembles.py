@@ -593,6 +593,21 @@ def test_one_mc_trial_tests_the_sampled_code(fld, seed):
     assert outcomes == [True, False]
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("rate", [True, 2], "must be integers"), ("rate", [1, False], "must be integers"),
+    ("rate", [1.0, 2], "must be integers"), ("seed", True, "must be integers"),
+    ("seed", "3", "must be integers"), ("s", False, "must be integers"),
+    ("n", True, "must be integers"), ("n", 8.0, "must be integers"),
+    ("rate", [1, 0], "ZeroDivisionError"),
+])
+def test_code_json_refuses_non_integer_fields(key, value, message):
+    # a bool is refused, though True == 1 and False == 0
+    doc = json.loads(ensembles.sample_rlc(8, Fraction(1, 2), F2, 3).to_json())
+    doc[key] = value
+    with pytest.raises(MalformedInput, match=message):
+        ensembles.LinearCode.from_json(json.dumps(doc))
+
+
 def test_code_json_rejects_bad_entries():
     code = ensembles.sample_rlc(6, Fraction(1, 3), F3, 1)
     doc = json.loads(code.to_json())

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpclab.errors import PreconditionError
 from ldpclab.gf import Field, field_new
@@ -113,6 +117,74 @@ def test_extension_add_neg_sub_match_digit_loops(p, h):
                           (f.neg(x), digit_neg(p, h, x)),
                           (f.sub(x, y), digit_add(p, h, x, digit_neg(p, h, y)))):
             assert type(got) is int and got == int(want)
+
+
+PROPERTY_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (251, 1), (65521, 1),
+                   (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3), (2, 16), (3, 10)]
+
+
+@st.composite
+def operand_pair(draw, q):
+    """Two operands, zero drawn often, as Python ints, numpy scalars, 0-d
+    arrays, a (k, 1) column against a (1, m) row, or a scalar and an array."""
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def grid(*shape):
+        cells = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(cells, dtype=np.int64).reshape(shape)
+
+    a, b = draw(entry), draw(entry)
+    return draw(st.sampled_from([
+        (a, b), (np.int64(a), b), (np.array(a), np.array(b)),
+        (grid(k, 1), grid(1, m)), (a, grid(k, m)), (grid(k, m), np.int64(b)),
+    ]))
+
+
+def elementwise(fn, *operands):
+    """fn on each entry of the broadcast operands, as an int64 array."""
+    xs = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in operands))
+    out = [fn(*map(int, entries)) for entries in zip(*(x.ravel() for x in xs))]
+    return np.array(out, dtype=np.int64).reshape(xs[0].shape)
+
+
+def assert_form(got, shape, *operands):
+    """An int64 array of the broadcast shape; a Python int when every
+    operand is one."""
+    assert np.shape(got) == shape and np.asarray(got).dtype == np.int64
+    if shape:
+        assert isinstance(got, np.ndarray)
+    elif all(type(x) is int for x in operands):
+        assert type(got) is int
+
+
+@pytest.mark.parametrize("p,h", PROPERTY_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_schoolbook(p, h, data):
+    f = field_new(p, h)
+    a, b = data.draw(operand_pair(f.q))
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    product = f.mul(a, b)
+    assert_form(product, shape, a, b)
+    assert np.array_equal(product, elementwise(f._mul_schoolbook, a, b))
+    if not shape:
+        assert type(product) is int
+    minus_b = f.neg(b)
+    schoolbook_minus_b = elementwise(lambda x: f._mul_schoolbook(x, p - 1), b)
+    assert_form(minus_b, np.shape(b), b)
+    assert np.array_equal(minus_b, schoolbook_minus_b)
+    assert np.array_equal(minus_b, digit_neg(p, h, b))
+    difference = f.sub(a, b)
+    assert_form(difference, shape, a, b)
+    assert np.array_equal(difference, digit_add(p, h, a, schoolbook_minus_b))
+    if np.any(np.asarray(a) == 0):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(a)
+    else:
+        inverse = f.inv(a)
+        assert_form(inverse, np.shape(a), a)
+        assert (elementwise(f._mul_schoolbook, a, inverse) == 1).all()
 
 
 def test_canonical_moduli():
