@@ -10,6 +10,12 @@ smaller keys.  Sampling is driven by a counter-based PRNG (numpy Philox
 keyed on a seed in [0, 2^128)), so a (params, seed) pair reproduces a code
 bit-for-bit and Monte Carlo workers can partition seed space
 deterministically.
+
+The RLC estimator keeps the stream of `integers(0, q)` but not its cost:
+it reads the bit generator's 32-bit words itself, drops the ones numpy's
+bounded-integer draw rejects (u*q mod 2^32 < 2^32 mod q), and decodes
+(u*q) >> 32 only in the columns of H that M's nonzero rows meet, about
+RLC_WORDS words at a time so that memory stays flat in n.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from .errors import CodeTooLarge, MalformedInput, PreconditionError
 from .gf import Field, field_new
 
 ENUM_GUARD = 1 << 24
-RLC_CHUNK, LDPC_CHUNK = 1 << 12, 1 << 14  # MC trials per batch; fixes LDPC's stream
+RLC_WORDS = 1 << 17  # 32-bit words per RLC Monte Carlo batch (0.5 MiB, L2-sized)
+LDPC_CHUNK = 1 << 14  # LDPC Monte Carlo trials per batch; fixes LDPC's stream
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -474,6 +481,39 @@ def _check_trials(trials: int) -> None:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
 
 
+class _BoundedWords:
+    """The 32-bit Philox words that `Generator.integers(0, q, dtype=np.int64)`
+    turns into draws, read straight from the bit generator.
+
+    For q < 2^32 numpy maps a word u to the draw (u*q) >> 32 (Lemire's
+    bounded integers), rejecting u when u*q mod 2^32 < 2^32 mod q and
+    drawing again from the next word.  Words come from `random_raw`, low
+    half first; every fresh word is scanned, since one rejected word
+    shifts every later draw, and the rejected ones are dropped (none when
+    q is a power of 2, a 2^-32 share for q = 3), so `take` returns the
+    accepted words in stream order.  The words read past a call's count
+    carry over to the next call, as numpy's buffered half-word does.
+    """
+
+    def __init__(self, bitgen: np.random.BitGenerator, q: int):
+        self.bitgen, self.q = bitgen, np.uint32(q)
+        self.threshold = (1 << 32) % q
+        self.carry = np.empty(0, dtype=np.uint32)
+
+    def take(self, count: int) -> np.ndarray:
+        words = self.carry
+        while len(words) < count:
+            raw = self.bitgen.random_raw(-(-(count - len(words)) // 2))
+            fresh = raw.astype("<u8", copy=False).view("<u4")
+            if self.threshold:
+                low = fresh * self.q  # u*q mod 2^32
+                if low.min() < self.threshold:
+                    fresh = fresh[low >= self.threshold]
+            words = np.concatenate([words, fresh]) if len(words) else fresh
+        self.carry = words[count:]
+        return words[:count]
+
+
 def mc_rlc_contains(
     m: np.ndarray,
     rate: Fraction,
@@ -483,20 +523,29 @@ def mc_rlc_contains(
 ) -> float:
     """Fraction of random linear codes (over `trials` seeds) containing M.
 
-    A fresh uniform parity-check matrix is drawn per trial and M is
-    contained iff H.M = 0; trials are batched RLC_CHUNK at a time.
+    Trial j draws a uniform (1-R)n x n parity-check matrix H, the j-th in
+    `make_rng(seed).integers(0, q, size=(trials, (1-R)n, n))`, and M is
+    contained iff H.M = 0.  The words behind those draws (`_BoundedWords`)
+    are read in batches of whole trials, about RLC_WORDS words each (one
+    trial when H alone is larger); the stream does not depend on the
+    batching.  H.M reads only the columns of H at M's nonzero rows, so
+    only those words are decoded, and they are multiplied by M's nonzero
+    rows.
     """
     m = linalg.as_matrix(m, fld)
     n, ell = m.shape
     rows = _rlc_rows(n, rate)
     _check_trials(trials)
-    rng = make_rng(seed)
+    supp = np.flatnonzero(m.any(axis=1))
+    words = _BoundedWords(make_rng(seed).bit_generator, fld.q)
+    chunk = max(1, RLC_WORDS // (rows * n))
     hits = 0
-    for start in range(0, trials, RLC_CHUNK):
-        b = min(RLC_CHUNK, trials - start)
-        hs = rng.integers(0, fld.q, size=(b, rows, n))
-        prod = linalg.matmul(fld, hs, m)
-        hits += int(np.count_nonzero(~prod.any(axis=(1, 2))))
+    for start in range(0, trials, chunk):
+        b = min(chunk, trials - start)
+        u = words.take(b * rows * n).reshape(b * rows, n)[:, supp]
+        hs = (u * np.uint64(fld.q) >> 32).view(np.int64)  # the draws in these columns
+        prod = linalg.matmul(fld, hs, m[supp]).reshape(b, rows * ell)
+        hits += int(np.count_nonzero(~prod.any(axis=1)))
     return hits / trials
 
 

@@ -1,7 +1,9 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,6 +481,82 @@ def test_mc_rlc_contains_rejects_fractional_check_count():
     # (1 - 1/3) * 10 is not an integer, as in sample_rlc
     with pytest.raises(PreconditionError, match="is not an integer"):
         ensembles.mc_rlc_contains(np.zeros((10, 1), dtype=np.int64), Fraction(1, 3), F2, 100, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 65521, 3 * 2 ** 30, 2 ** 31 + 1])
+@pytest.mark.parametrize("key", [0, 2 ** 127 + 5])
+def test_bounded_words_are_the_words_behind_integers(q, key):
+    # 3*2^30 rejects a quarter of all words and 2^31 + 1 almost half; the
+    # counts split each total into odd and even calls, so the carry runs
+    # on both sides (numpy's buffered half-word, the reader's own carry)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    words = ensembles._BoundedWords(np.random.Philox(key=key), q)
+    for count in (1, 9999, 20001, 20000, 2):
+        u = words.take(count)
+        assert u.dtype == np.uint32 and u.shape == (count,)
+        draws = (u.astype(np.uint64) * q >> 32).astype(np.int64)
+        assert np.array_equal(draws, gen.integers(0, q, size=count, dtype=np.int64))
+
+
+def mc_rlc_contains_oracle(m, rate, fld, trials, seed):
+    """The estimator as `Generator.integers` draws of whole parity-check
+    matrices, 4096 trials at a time, each multiplied by all of M: the slow
+    reference for `mc_rlc_contains`."""
+    m = np.asarray(m, dtype=np.int64)
+    n = m.shape[0]
+    rows = int((1 - rate) * n)
+    rng = ensembles.make_rng(seed)
+    hits = 0
+    for start in range(0, trials, 4096):
+        b = min(4096, trials - start)
+        hs = rng.integers(0, fld.q, size=(b, rows, n))
+        prod = linalg.matmul(fld, hs, m)
+        hits += int(np.count_nonzero(~prod.any(axis=(1, 2))))
+    return hits / trials
+
+
+RLC_FIELDS = {**FIELDS, 7: field_new(7), 8: field_new(2, 3), 9: field_new(3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(RLC_FIELDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mc_rlc_contains_matches_oracle(q, data):
+    # dense, sparse and all-zero M; 4097 trials cross the oracle's batch
+    # and, at n = 12, several of the estimator's, and its word total is odd
+    # whenever (1-R)n and n are; a budget of a few words makes one trial a
+    # batch, so a word carries over between batches
+    fld = RLC_FIELDS[q]
+    n = data.draw(st.integers(2, 12), label="n")
+    rate = Fraction(data.draw(st.integers(1, n - 1), label="k"), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="matrix seed"))
+    m = rng.integers(0, q, size=(n, data.draw(st.integers(1, 3), label="ell")))
+    kind = data.draw(st.sampled_from(["dense", "sparse", "zero"]), label="kind")
+    if kind == "sparse":
+        m[rng.random(n) < 0.7] = 0
+    elif kind == "zero":
+        m[:] = 0
+    trials = data.draw(st.sampled_from([1, 37, 4097]), label="trials")
+    seed = data.draw(st.integers(0, 2 ** 63), label="seed")
+    freq = ensembles.mc_rlc_contains(m, rate, fld, trials, seed)
+    assert freq == mc_rlc_contains_oracle(m, rate, fld, trials, seed)
+    with mock.patch.object(ensembles, "RLC_WORDS", data.draw(st.integers(1, 7), label="words")):
+        assert ensembles.mc_rlc_contains(m, rate, fld, trials, seed) == freq
+    if kind == "zero":
+        assert freq == 1.0
+
+
+def test_mc_rlc_contains_memory_is_flat():
+    # one trial's H over F_2 at n = 600, R = 1/2 holds 180,000 draws, so
+    # the int64 H of all 64 trials would take 88 MiB
+    m = np.random.default_rng(0).integers(0, 2, size=(600, 2))
+    tracemalloc.start()
+    try:
+        ensembles.mc_rlc_contains(m, Fraction(1, 2), F2, 64, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_layer_draws_are_permutations_and_units():
