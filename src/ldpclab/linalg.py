@@ -137,24 +137,16 @@ def rank(field: Field, m: np.ndarray) -> int:
 
 
 def kernel_basis(field: Field, m: np.ndarray) -> np.ndarray:
-    """Basis of ker(m) as the columns of a cols x (cols - rank) matrix, the
-    identity on the free (non-pivot) columns, as `has_codeword_of_weight` needs."""
+    """Basis of ker(m) as the columns of a cols x (cols - rank) matrix: the
+    identity on the free (non-pivot) columns, as `has_codeword_of_weight`
+    needs, and -R's free entries on the pivot ones, R the RREF of m."""
     r, rk, pivots = rref(field, m)
-    return rref_kernel_basis(field, r[:rk], pivots)
-
-
-def rref_kernel_basis(field: Field, r: np.ndarray, pivots) -> np.ndarray:
-    """`kernel_basis` of a matrix already in RREF, with no elimination:
-    r holds the nonzero rows (leading axes are batch axes, every matrix
-    with the same pivot columns), and each basis is the identity on the
-    free columns and -r's free entries on the pivot ones."""
-    cols = r.shape[-1]
-    is_free = np.ones(cols, dtype=bool)
-    is_free[list(pivots)] = False
+    is_free = np.ones(r.shape[1], dtype=bool)
+    is_free[pivots] = False
     free = np.flatnonzero(is_free)
-    basis = np.zeros(r.shape[:-2] + (cols, len(free)), dtype=np.int64)
-    basis[..., free, range(len(free))] = 1
-    basis[..., list(pivots), :] = field.neg(r[..., free])
+    basis = np.zeros((r.shape[1], len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[pivots] = field.neg(r[:rk, free])
     return basis
 
 
@@ -180,9 +172,12 @@ def enumerate_subspaces(field: Field, ell: int, batch: int):
     filling the free entries, so each basis is already in RREF and no two
     represent the same subspace.  Dimensions ascend, pivot sets come in
     `combinations` order, and the free entries count up in `product`
-    order (the last fastest).  Each yield is a (b, m, ell) array of b <=
-    `batch` bases that share one pivot set.  The subspace count is checked
-    against MAX_SUBSPACES here, before the first stack is built.
+    order (the last fastest).  Each yield is a fresh (b, m, ell) array of
+    b <= `batch` bases of one dimension, which may span several pivot
+    sets: a stack is filled one pivot set at a time and yielded when full
+    or when its dimension ends, so memory is one stack whatever the number
+    of subspaces.  The subspace count is checked against MAX_SUBSPACES
+    here, before the first stack is built.
     """
     q = field.q
     total = subspace_count(ell, q)
@@ -191,6 +186,7 @@ def enumerate_subspaces(field: Field, ell: int, batch: int):
 
     def stacks():
         for m in range(ell + 1):
+            size, fill = min(batch, gaussian_binomial(ell, m, q)), 0
             for pivots in combinations(range(ell), m):
                 # free positions: entries (i, c) with c > pivots[i], c not a pivot
                 rows, cols = np.array([
@@ -200,13 +196,21 @@ def enumerate_subspaces(field: Field, ell: int, batch: int):
                     if c not in pivots
                 ], dtype=np.intp).reshape(-1, 2).T
                 count = q ** len(rows)
-                for lo in range(0, count, batch):
+                lo = 0
+                while lo < count:
+                    if not fill:
+                        b = np.zeros((size, m, ell), dtype=np.int64)
+                    hi = min(lo + size - fill, count)
+                    part = b[fill:fill + hi - lo]
+                    part[:, np.arange(m), list(pivots)] = 1
                     # reversed: index_vector counts its first entry fastest, product its last
-                    values = index_vector(np.arange(lo, min(lo + batch, count)), len(rows), q)
-                    b = np.zeros((len(values), m, ell), dtype=np.int64)
-                    b[:, np.arange(m), list(pivots)] = 1
-                    b[:, rows, cols] = values[:, ::-1]
-                    yield b
+                    part[:, rows, cols] = index_vector(np.arange(lo, hi), len(rows), q)[:, ::-1]
+                    fill, lo = fill + hi - lo, hi
+                    if fill == size:
+                        yield b
+                        fill = 0
+            if fill:
+                yield b[:fill]
 
     return stacks()
 

@@ -241,11 +241,14 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
 
     Kernels are scored a stack of `enumerate_subspaces` at a time, each
     array of a stack holding about STACK_CELLS cells (0.5 MiB), so memory
-    stays flat whatever the number of kernels.  A kernel K in RREF
-    gives its annihilator A with no elimination (the identity on the free
-    columns, -K on the pivot ones); one `matmul` maps the support under
-    every A of the stack, and the masses are summed per image, in the
-    image order of `implied_distribution`.  d of the image is
+    stays flat whatever the number of kernels, and a dimension that fits
+    is one stack.  For a kernel K in RREF with pivot columns P, v - v[P].K
+    is zero on P and equals A.v on the free columns, A the annihilator of
+    `implied_distribution`; so one `matmul` of the support by every
+    kernel's I - K (K's rows at rows P) gives every image of the stack,
+    whatever its pivot sets, with no A built.  The images' codes over all
+    l coordinates sort them as their free coordinates would, and the
+    masses are summed per image in that order.  d of the image is
     dim S - dim(K & S) for S the span of the support, from one stacked
     rank.  Each kernel's threshold is then the `expectation_threshold` of
     its implied distribution, with the same expressions: an exact Fraction
@@ -269,12 +272,16 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
         b, m, _ = kernels.shape
         if m == ell:
             continue  # full space: A would have rank 0
-        # (b, l, l - m): the columns of each are the rows of its A
-        ann = linalg.rref_kernel_basis(fld, kernels, (kernels[0] != 0).argmax(axis=1).tolist())
-        images = linalg.matmul(fld, ann.transpose(0, 2, 1), supp.T)  # (b, l - m, n): A.v_i
-        # codes < q^(l - m), first coordinate most significant (tuple order): far
-        # inside int64 for any F_q^l the subspace guard admits
-        codes = fld.q ** np.arange(ell - m - 1, -1, -1) @ images
+        # v - v[P].K is zero on K's pivot columns P and equals A.v on the free
+        # ones: it is v times the identity minus K's rows put at rows P
+        proj = np.tile(np.eye(ell, dtype=np.int64), (b, 1, 1))
+        at = np.arange(b)[:, None], (kernels != 0).argmax(axis=2)
+        proj[at] = fld.sub(proj[at], kernels)
+        images = linalg.matmul(fld, proj.transpose(0, 2, 1), supp.T)  # (b, l, n)
+        # codes < q^l, first coordinate most significant (tuple order; P is
+        # zero in every image of a kernel): far inside int64 for any F_q^l
+        # the subspace guard admits
+        codes = fld.q ** np.arange(ell - 1, -1, -1) @ images
         order = np.argsort(codes, axis=1)
         codes = np.sort(codes, axis=1)
         starts = np.ones(codes.shape, dtype=bool)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -231,18 +232,39 @@ def enumerate_subspaces_oracle(field, ell):
 @pytest.mark.parametrize("batch", [1, 3, linalg.MAX_SUBSPACES])
 def test_enumerate_subspaces_stacks_follow_the_per_basis_order(p, h, ell, batch):
     # the stacks, read in order, are the oracle's bases in the oracle's
-    # order; each holds at most `batch` bases sharing one pivot set
+    # order; each holds at most `batch` bases of one dimension (the stack's
+    # shape), only the last of a dimension is short, and a stack may cross
+    # from one pivot set into the next
     f = field_new(p, h)
-    flat = []
+    flat, crossings, short = [], 0, set()  # short: dimensions whose last stack has come
     for stack in linalg.enumerate_subspaces(f, ell, batch):
         assert stack.dtype == np.int64 and stack.ndim == 3 and 1 <= len(stack) <= batch
+        assert stack.shape[1] not in short
+        if len(stack) < batch:
+            short.add(stack.shape[1])
         pivots = (stack != 0).argmax(axis=2)
-        assert (pivots == pivots[0]).all()
+        crossings += not (pivots == pivots[0]).all()
         flat.extend(stack)
+    if batch == 3 and (f.q, ell) != (3, 2):  # F_3^2's lines: pivot sets of 3 and 1
+        assert crossings
     expected = list(enumerate_subspaces_oracle(f, ell))
     assert len(flat) == len(expected) == linalg.subspace_count(ell, f.q)
     for b, e in zip(flat, expected):
         assert b.shape == e.shape and np.array_equal(b, e)
+
+
+def test_enumerate_subspaces_memory_is_flat():
+    # F_2^8 holds 417,199 subspaces; its 200,787 of dimension 4 alone take
+    # 51 MiB as int64 bases, while 256-basis stacks peak near 0.2 MiB
+    f = field_new(2)
+    tracemalloc.start()
+    try:
+        count = sum(len(stack) for stack in linalg.enumerate_subspaces(f, 8, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == linalg.subspace_count(8, 2) == 417199
+    assert peak < 2 ** 20
 
 
 def test_enumerate_subspaces_guard():
