@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import NumericError, PreconditionError, ResourceGuardError, StateSpaceTooLarge
 
 BISECT_TOL = 1e-12
-WORK_GUARD = 10 ** 6  # composition entries one layer DP may examine
+WORK_GUARD = 2 * 10 ** 6  # composition entries one layer DP may examine
 
 
 def hq(x: float, q: int) -> float:

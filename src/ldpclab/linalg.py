@@ -215,38 +215,6 @@ def enumerate_subspaces(field: Field, ell: int, batch: int):
     return stacks()
 
 
-def ranks(field: Field, stack: np.ndarray) -> np.ndarray:
-    """Rank of each matrix of a (b, rows, cols) stack.
-
-    One elimination runs over the whole stack, a column at a time: each
-    matrix that has a nonzero entry below its pivots in the column moves
-    it up, scales it to 1 and clears the rows below.  The rank is the same
-    for the transpose, so the shorter side is eliminated.
-    """
-    x = np.asarray(stack, dtype=np.int64)
-    if x.shape[1] < x.shape[2]:
-        x = x.transpose(0, 2, 1)
-    x = x.copy()
-    b, rows, cols = x.shape
-    rk = np.zeros(b, dtype=np.int64)
-    below = np.arange(rows)
-    for col in range(cols):
-        cand = (x[:, :, col] != 0) & (below >= rk[:, None])
-        hit = np.flatnonzero(cand.any(axis=1))
-        if col == cols - 1 or not hit.size:
-            rk[hit] += 1  # the last column needs no elimination
-            continue
-        lead, top = cand[hit].argmax(axis=1), rk[hit]
-        piv = x[hit, lead]
-        x[hit, lead] = x[hit, top]
-        piv = field.mul(field.inv(piv[:, col])[:, None], piv)
-        f = np.where(below > top[:, None], x[hit, :, col], 0)
-        x[hit] = field.sub(x[hit], field.mul(f[:, :, None], piv[:, None, :]))
-        x[hit, top] = piv
-        rk[hit] += 1
-    return rk
-
-
 def vector_index(v, q: int) -> int:
     """Encode a vector over F_q as an integer, first coordinate least significant."""
     idx = 0

@@ -231,37 +231,39 @@ class ThresholdReport:
 def rstar(tau: RowDistribution) -> ThresholdReport:
     """Max of the expectation threshold over all tau-implied distributions.
 
-    Implied distributions are indexed by the kernel of the defining map, so
-    the unbounded max over matrices reduces to enumerating the proper
-    subspaces of F_q^l.  Images that collapse to the point mass at 0 are
-    skipped (their threshold is undefined).  A point mass at a nonzero
-    vector is kept and gives threshold 1: a code containing a tau-matrix
-    then contains one fixed nonzero word, which a random linear code of
-    any rate R < 1 contains with probability q^{-(1-R) n} -> 0.
+    Implied distributions are indexed by the kernel K of the defining map
+    and depend only on K & S, S the span of the support: two support
+    vectors share an image iff their difference lies in K & S.  So a kernel
+    outside S implies the same distribution, relabeled, as K & S, and the
+    max runs over the proper subspaces of S alone (S itself maps every
+    vector to 0, where the threshold is undefined).  A point mass at a
+    nonzero vector gives threshold 1: a code containing a tau-matrix then
+    contains one fixed nonzero word, which a random linear code of any rate
+    R < 1 contains with probability q^{-(1-R) n} -> 0.
 
-    Kernels are scored a stack of `enumerate_subspaces` at a time, each
-    array of a stack holding about STACK_CELLS cells (0.5 MiB), so memory
-    stays flat whatever the number of kernels, and a dimension that fits
-    is one stack.  For a kernel K in RREF with pivot columns P, v - v[P].K
-    is zero on P and equals A.v on the free columns, A the annihilator of
-    `implied_distribution`; so one `matmul` of the support by every
-    kernel's I - K (K's rows at rows P) gives every image of the stack,
-    whatever its pivot sets, with no A built.  The images' codes over all
-    l coordinates sort them as their free coordinates would, and the
-    masses are summed per image in that order.  d of the image is
-    dim S - dim(K & S) for S the span of the support, from one stacked
-    rank.  Each kernel's threshold is then the `expectation_threshold` of
-    its implied distribution, with the same expressions: an exact Fraction
-    when every image mass is q^-e, otherwise a float summed by Python's
-    `sum` in image order.  The first kernel in enumeration order wins a
-    tie (strict `>`, Fractions compared with floats exactly).
+    With B the RREF basis of S and P its pivot columns, v = v[P].B on S, so
+    the support becomes vectors c of F_q^s, s = dim S, and a kernel K' of
+    F_q^s stands for K'.B (in RREF, with pivots P[P']).  x -> x.B keeps the
+    lexicographic order of vectors, so the kernels inside S come in the
+    order `enumerate_subspaces` lists them in F_q^l.  They are scored a
+    stack at a time, each array holding about STACK_CELLS cells (0.5 MiB),
+    so memory stays flat.  c - c[P'].K' is zero on K''s pivot columns P'
+    and is the image of c on the free ones, so one `matmul` of the
+    coordinates by every kernel's I - K' gives every image of the stack.
+    Their codes sort them in tuple order, the masses are summed per image
+    in that order, and the images span d = s - dim K' dimensions.  Each
+    threshold is then the `expectation_threshold` of the implied
+    distribution, by the same expressions: an exact Fraction when every
+    image mass is q^-e, otherwise a float summed by Python's `sum` in image
+    order.  The first kernel in enumeration order wins a tie (strict `>`,
+    Fractions compared with floats exactly).
     """
     r_exp = expectation_threshold(tau)
-    fld, ell, n = tau.field, tau.ell, len(tau.masses)
-    stacks = linalg.enumerate_subspaces(fld, ell, max(1, STACK_CELLS // (ell * max(ell, n))))
+    fld, n = tau.field, len(tau.masses)
     supp = tau.support_matrix()
-    perp = linalg.kernel_basis(fld, supp)  # its columns span S^perp, S = span(supp)
-    s = ell - perp.shape[1]
+    basis, s, piv = linalg.rref(fld, supp)
+    coords = supp[:, piv]  # supp = coords . basis[:s]
+    stacks = linalg.enumerate_subspaces(fld, s, max(1, STACK_CELLS // (s * max(s, n))))
     den = math.lcm(*(m.denominator for _, m in tau.masses))
     nums = np.array([m.numerator * (den // m.denominator) for _, m in tau.masses],
                     dtype=np.int64 if den < 2 ** 63 else object)  # they sum to den
@@ -270,37 +272,33 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     best_kernel = None
     for kernels in stacks:
         b, m, _ = kernels.shape
-        if m == ell:
-            continue  # full space: A would have rank 0
-        # v - v[P].K is zero on K's pivot columns P and equals A.v on the free
-        # ones: it is v times the identity minus K's rows put at rows P
-        proj = np.tile(np.eye(ell, dtype=np.int64), (b, 1, 1))
+        if m == s:
+            continue  # the whole span: every image is 0
+        # c - c[P'].K' is c times the identity minus K''s rows put at rows P'
+        proj = np.tile(np.eye(s, dtype=np.int64), (b, 1, 1))
         at = np.arange(b)[:, None], (kernels != 0).argmax(axis=2)
         proj[at] = fld.sub(proj[at], kernels)
-        images = linalg.matmul(fld, proj.transpose(0, 2, 1), supp.T)  # (b, l, n)
-        # codes < q^l, first coordinate most significant (tuple order; P is
-        # zero in every image of a kernel): far inside int64 for any F_q^l
+        images = linalg.matmul(fld, proj.transpose(0, 2, 1), coords.T)  # (b, s, n)
+        # codes < q^s, first coordinate most significant (tuple order; P' is
+        # zero in every image of a kernel): far inside int64 for any F_q^s
         # the subspace guard admits
-        codes = fld.q ** np.arange(ell - 1, -1, -1) @ images
+        codes = fld.q ** np.arange(s - 1, -1, -1) @ images
         order = np.argsort(codes, axis=1)
         codes = np.sort(codes, axis=1)
         starts = np.ones(codes.shape, dtype=bool)
         starts[:, 1:] = codes[:, 1:] != codes[:, :-1]
         sums = np.add.reduceat(nums[order].ravel(), np.flatnonzero(starts)).tolist()
-        # dim(K & S) = m - rank(K perp), and d = dim S - dim(K & S)
-        dims = s - m + linalg.ranks(fld, linalg.matmul(fld, kernels, perp))
         for num in set(sums).difference(terms):
             terms[num] = _mass_terms(Fraction(num, den), fld.q)
         pos = 0
-        for k, (groups, d) in enumerate(zip(starts.sum(axis=1).tolist(), dims.tolist())):
+        for k, groups in enumerate(starts.sum(axis=1).tolist()):
             masses, pos = sums[pos:pos + groups], pos + groups
-            if d == 0:
-                continue  # every image is 0
-            r = _threshold(_entropy([terms[num] for num in masses]), d)
+            r = _threshold(_entropy([terms[num] for num in masses]), s - m)
             if best is None or r > best:
                 best, best_kernel = r, kernels[k]
     assert best is not None  # the zero kernel always yields a candidate
-    return ThresholdReport(r_exp, best, best_kernel.copy(), implied_distribution(tau, best_kernel))
+    kernel = linalg.matmul(fld, best_kernel, basis[:s])  # RREF, pivots P[P']
+    return ThresholdReport(r_exp, best, kernel, implied_distribution(tau, kernel))
 
 
 # ---------------------------------------------------------------------------

@@ -224,12 +224,24 @@ def test_exit_code_precondition(tmp_path, capsys):
 
 
 def test_exit_code_resource_guard(tmp_path, capsys):
+    # the 25 unit vectors span all of F_2^25: past MAX_SUBSPACES
     tau = rowdist.RowDistribution.from_dict(
-        F2, 25, {tuple([1] + [0] * 24): Fraction(1)})
+        F2, 25, {tuple(int(i == j) for j in range(25)): Fraction(1, 25) for i in range(25)})
     path = tmp_path / "big.json"
     path.write_text(tau.to_json())
     assert run(["threshold", "--tau", str(path), "--seed", "0"]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_threshold_of_a_point_mass_in_a_large_space(tmp_path):
+    # rstar enumerates the subspaces of the span, here a line of F_2^25
+    tau = rowdist.RowDistribution.from_dict(
+        F2, 25, {tuple([1] + [0] * 24): Fraction(1)})
+    path, out = tmp_path / "point.json", tmp_path / "t.json"
+    path.write_text(tau.to_json())
+    assert run(["threshold", "--tau", str(path), "--seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["r_star"] == [1, 1] and doc["kernel_rows"] == []
 
 
 def test_exit_code_numeric_error(monkeypatch, capsys):

@@ -451,8 +451,42 @@ def test_exact_layer_prob_work_guard(case, n, s, quantity):
     assert time.perf_counter() - start < 10  # unguarded, these ran 18 s or more
     msg = str(err.value)
     assert msg.startswith("layer DP examined ")
-    assert msg.endswith(f" {quantity}, more than WORK_GUARD = 1000000")
+    assert msg.endswith(f" {quantity}, more than WORK_GUARD = 2000000")
     assert int(msg.split()[3]) > gvdistance.WORK_GUARD
+
+
+def pair_layer_prob_by_egf(counts, s):
+    """The layer probability of an l = 2 matrix over F_2 with `counts` rows
+    (1, 1), (1, 0), (0, 1), (0, 0): a layer annihilates it iff each of its
+    n / s blocks holds an even number of ones in both columns.  The layers
+    that do, as ordered blocks, are prod(c!) [x^c] B(x)^(n/s) for B the
+    exponential generating function of an even block; all of them number
+    n! / s!^(n/s)."""
+    n = sum(counts)
+    block = np.zeros([c + 1 for c in counts])
+    for k in itertools.product(*(range(min(c, s) + 1) for c in counts)):
+        if sum(k) == s and (k[0] + k[1]) % 2 == 0 and (k[0] + k[2]) % 2 == 0:
+            block[k] = 1 / math.prod(map(math.factorial, k))
+    power = np.zeros_like(block)
+    power[0, 0, 0, 0] = 1.0
+    for _ in range(n // s):
+        nxt = np.zeros_like(power)
+        for k in zip(*np.nonzero(block)):
+            nxt[tuple(slice(a, None) for a in k)] += block[k] * power[
+                tuple(slice(0, c + 1 - a) for c, a in zip(counts, k))]
+        power = nxt
+    good = power[tuple(counts)] * math.prod(map(math.factorial, counts))
+    return good * math.factorial(s) ** (n // s) / math.factorial(n)
+
+
+def test_exact_layer_prob_admits_the_n96_pair():
+    # two weight-n/4 columns overlapping in n/16 rows, at n = 96, s = 12:
+    # about 1.9e6 composition entries, inside WORK_GUARD
+    n, s, counts = 96, 12, {(1, 1): 6, (1, 0): 18, (0, 1): 18, (0, 0): 54}
+    tau = make_tau(F2, 2, {v: Fraction(c, n) for v, c in counts.items()})
+    got = fourier.exact_layer_prob(tau, n, s)
+    assert got == pytest.approx(pair_layer_prob_by_egf(list(counts.values()), s), rel=1e-9)
+    assert 0 < got < 1
 
 
 def test_ldpc_contain_bound_report():

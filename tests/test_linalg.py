@@ -274,26 +274,6 @@ def test_enumerate_subspaces_guard():
         linalg.enumerate_subspaces(f, 50, 1)
 
 
-@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (3, 2), (7, 1)])
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_ranks_match_rref(p, h, data):
-    # stacks with empty sides, zero and repeated rows, and more columns
-    # than rows (eliminated as the transpose)
-    f = field_new(p, h)
-    rows = data.draw(st.integers(0, 5), label="rows")
-    cols = data.draw(st.integers(0, 5), label="cols")
-    b = data.draw(st.integers(1, 6), label="stack")
-    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    rng = np.random.default_rng(seed)
-    stack = rng.integers(0, f.q, size=(b, rows, cols))
-    stack[rng.random(size=(b, rows)) < 0.3] = 0
-    if rows > 1:
-        stack[:, -1] = stack[:, 0]
-    expected = [linalg.rank(f, m) if m.size else 0 for m in stack]
-    assert linalg.ranks(f, stack).tolist() == expected
-
-
 def test_vector_index_roundtrip():
     for q, ell in [(2, 5), (3, 3), (4, 2)]:
         for idx in range(q ** ell):
