@@ -42,8 +42,8 @@ class ComplexDistribution:
     def zeros(field: Field, ell: int) -> "ComplexDistribution":
         return ComplexDistribution(field, ell, np.zeros(table_rows(field, ell), np.complex128))
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        v = self.values
+    def is_probability(self) -> bool:
+        v, tol = self.values, 1e-12
         return (
             np.all(np.abs(v.imag) <= tol)
             and np.all(v.real >= -tol)

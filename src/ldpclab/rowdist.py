@@ -26,6 +26,7 @@ Real = Union[Fraction, float]
 TABLE_GUARD = 10 ** 6  # cells of any dense table indexed by F_q^l
 STACK_CELLS = 1 << 16  # cells of each array rstar builds for one stack of kernels
 SEARCH_SUPPORT_CAP, SEARCH_DENOMINATOR = 8, 24  # threshold search: support, mass grain
+SEARCH_ITERATIONS = 200  # threshold search: candidates drawn
 
 
 @dataclass(frozen=True)
@@ -171,24 +172,33 @@ def smoothness(tau: RowDistribution) -> Fraction:
     return Fraction(int(((~orthogonality(tau)[1:]) @ weights).min()), den)
 
 
-def implied_distribution(tau: RowDistribution, kernel: np.ndarray) -> RowDistribution:
-    """Distribution of A.v for v ~ tau, where ker(A) is the given subspace.
+def _project(fld: Field, kernels: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(b, l, n) array of v - v[P].K for each row v of `vecs` and each RREF
+    basis K (pivots P, no zero row) of the stack `kernels`: one `matmul` by
+    I - K, the identity minus K's rows put at rows P."""
+    b, _, ell = kernels.shape
+    proj = np.tile(np.eye(ell, dtype=np.int64), (b, 1, 1))
+    at = np.arange(b)[:, None], (kernels != 0).argmax(axis=2)
+    proj[at] = fld.sub(proj[at], kernels)
+    return linalg.matmul(fld, proj.transpose(0, 2, 1), vecs.T)
 
-    The kernel is an RREF basis matrix (rows span the subspace); A's rows
-    are a basis of the annihilator, so the image masses are sums of tau
-    over kernel cosets.
-    """
+
+def implied_distribution(tau: RowDistribution, kernel: np.ndarray) -> RowDistribution:
+    """Distribution of A.v for v ~ tau, where ker(A) is the row space of
+    `kernel`.  With R, P and F the kernel's RREF, pivots and free columns,
+    A.v is `_project`'s v - v[P].R on F (A's rows: the annihilator's basis
+    that is the identity on F), so image masses sum tau over kernel cosets."""
     kernel = np.asarray(kernel, dtype=np.int64).reshape(-1, tau.ell)
-    if kernel.shape[0] >= tau.ell and linalg.rank(tau.field, kernel) == tau.ell:
+    r, rk, piv = linalg.rref(tau.field, kernel)
+    if rk == tau.ell:
         raise PreconditionError("kernel must be a proper subspace")
-    a_t = linalg.kernel_basis(tau.field, kernel)  # l x (l - dim kernel)
-    m = a_t.shape[1]
-    images = linalg.matmul(tau.field, tau.support_matrix(), a_t)  # row i is A.v_i
+    free = [c for c in range(tau.ell) if c not in piv]
+    images = _project(tau.field, r[None, :rk], tau.support_matrix())[0, free].T  # row i is A.v_i
     out: dict[tuple[int, ...], Fraction] = {}
     for (_, mass), img in zip(tau.masses, images.tolist()):
         img = tuple(img)
         out[img] = out.get(img, Fraction(0)) + mass
-    return RowDistribution.from_dict(tau.field, m, out)
+    return RowDistribution.from_dict(tau.field, len(free), out)
 
 
 def expectation_threshold(tau: RowDistribution) -> Real:
@@ -241,27 +251,30 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     contains one fixed nonzero word, which a random linear code of any rate
     R < 1 contains with probability q^{-(1-R) n} -> 0.
 
-    With B the RREF basis of S and P its pivot columns, v = v[P].B on S, so
-    the support becomes vectors c of F_q^s, s = dim S, and a kernel K' of
-    F_q^s stands for K'.B (in RREF, with pivots P[P']).  x -> x.B keeps the
-    lexicographic order of vectors, so the kernels inside S come in the
-    order `enumerate_subspaces` lists them in F_q^l.  They are scored a
-    stack at a time, each array holding about STACK_CELLS cells (0.5 MiB),
-    so memory stays flat.  c - c[P'].K' is zero on K''s pivot columns P'
-    and is the image of c on the free ones, so one `matmul` of the
-    coordinates by every kernel's I - K' gives every image of the stack.
-    Their codes sort them in tuple order, the masses are summed per image
-    in that order, and the images span d = s - dim K' dimensions.  Each
-    threshold is then the `expectation_threshold` of the implied
-    distribution, by the same expressions: an exact Fraction when every
-    image mass is q^-e, otherwise a float summed by Python's `sum` in image
-    order.  The first kernel in enumeration order wins a tie (strict `>`,
-    Fractions compared with floats exactly).
+    One `rref` of the support gives B, S's RREF basis, with pivot columns P
+    and s = dim S = d(tau).  v = v[P].B on S, so the support becomes
+    vectors c of F_q^s, and a kernel K' of F_q^s stands for K'.B (in RREF,
+    with pivots P[P']).  x -> x.B keeps the lexicographic order of vectors,
+    so the kernels inside S come in the order `enumerate_subspaces` lists
+    them in F_q^l.  They are scored a stack at a time, each array holding
+    about STACK_CELLS cells (0.5 MiB), so memory stays flat.  `_project`,
+    the image map `implied_distribution` also reads, gives every
+    c - c[P'].K' of the stack in one `matmul`: zero on K''s pivot columns
+    P' and the image of c on the free ones.  Their codes sort them in
+    tuple order, the masses are summed per image in that order, and the
+    images span d = s - dim K' dimensions.  Each threshold is then the
+    `expectation_threshold` of the implied distribution, by the same
+    expressions: an exact Fraction when every image mass is q^-e, otherwise
+    a float summed by Python's `sum` in image order.  The first kernel in
+    enumeration order wins a tie (strict `>`, Fractions compared with
+    floats exactly).
     """
-    r_exp = expectation_threshold(tau)
     fld, n = tau.field, len(tau.masses)
     supp = tau.support_matrix()
     basis, s, piv = linalg.rref(fld, supp)
+    if s == 0:
+        raise PreconditionError("point mass at 0 has d(tau) = 0")
+    r_exp = _threshold(entropy_q(tau), s)  # expectation_threshold, with d(tau) = s
     coords = supp[:, piv]  # supp = coords . basis[:s]
     stacks = linalg.enumerate_subspaces(fld, s, max(1, STACK_CELLS // (s * max(s, n))))
     den = math.lcm(*(m.denominator for _, m in tau.masses))
@@ -271,14 +284,10 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     best: Optional[Real] = None
     best_kernel = None
     for kernels in stacks:
-        b, m, _ = kernels.shape
+        m = kernels.shape[1]
         if m == s:
             continue  # the whole span: every image is 0
-        # c - c[P'].K' is c times the identity minus K''s rows put at rows P'
-        proj = np.tile(np.eye(s, dtype=np.int64), (b, 1, 1))
-        at = np.arange(b)[:, None], (kernels != 0).argmax(axis=2)
-        proj[at] = fld.sub(proj[at], kernels)
-        images = linalg.matmul(fld, proj.transpose(0, 2, 1), coords.T)  # (b, s, n)
+        images = _project(fld, kernels, coords)  # (b, s, n)
         # codes < q^s, first coordinate most significant (tuple order; P' is
         # zero in every image of a kernel): far inside int64 for any F_q^s
         # the subspace guard admits
@@ -349,13 +358,8 @@ def is_bad_list(
     return True, {v: a for (v, _), a in zip(rows, found)}
 
 
-def listdec_threshold_search(
-    fld: Field,
-    alpha,
-    list_size: int,
-    iterations: int = 200,
-    seed: int = 0,
-) -> tuple[RowDistribution, Real]:
+def listdec_threshold_search(fld: Field, alpha, list_size: int,
+                             seed: int = 0) -> tuple[RowDistribution, Real]:
     """Heuristic upper bound on the list-decoding threshold min-max.
 
     Minimizes rstar over bad-list distributions with bounded support via
@@ -398,7 +402,7 @@ def listdec_threshold_search(
     best_r: Optional[Real] = None
     current: Optional[RowDistribution] = None
     current_r: Optional[Real] = None
-    for _ in range(iterations):
+    for _ in range(SEARCH_ITERATIONS):
         cand = perturb(current) if current is not None and rng.random() < 0.7 else random_candidate()
         if cand is None:
             continue
@@ -412,5 +416,5 @@ def listdec_threshold_search(
             best_tau, best_r = cand, r
     if best_tau is None:
         raise ResourceGuardError(
-            f"no bad-list distribution found in {iterations} iterations")
+            f"no bad-list distribution found in {SEARCH_ITERATIONS} iterations")
     return best_tau, best_r

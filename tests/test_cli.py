@@ -366,12 +366,16 @@ def test_bad_input_rate_zero_denominator():
     (["ldpc-contain", "--matrix", "{file}", "--s", "3", "--rate", "1/3"],
      {"field": {"p": 3, "h": True}, "rows": [[1, 0], [0, 1], [1, 1]]},
      "p = 3 and h = True must be integers"),
+    # the point mass at the origin spans no dimension: it has no threshold
+    (["threshold", "--tau", "{file}"],
+     {"ell": 2, "field": {"p": 2, "h": 1}, "masses": [[[0, 0], 1, 1]]},
+     "point mass at 0 has d(tau) = 0"),
 ], ids=["tau-ell-0", "tau-ell-float", "tau-ell-true", "matrix-without-columns",
         "listdecode-no-rate", "threshold-empirical-no-rate", "field-prime-past-2^16",
         "field-degree-1e8", "field-degree-5000", "matrix-fractional-entry",
         "matrix-entry-past-int64", "tau-fractional-entry", "tau-mixed-vector-types",
         "matrix-bool-entries", "tau-bool-entry", "tau-bool-numerator", "tau-field-degree-true",
-        "matrix-field-degree-true"])
+        "matrix-field-degree-true", "tau-point-mass-at-0"])
 def test_bad_input_without_a_code(tmp_path, argv, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))

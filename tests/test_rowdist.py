@@ -95,6 +95,55 @@ def test_implied_distribution():
         rowdist.implied_distribution(tau, np.eye(3, dtype=np.int64))
 
 
+def implied_distribution_oracle(tau, kernel):
+    """The annihilator form: A's rows are the basis of ker(kernel) from
+    `linalg.kernel_basis`, after a separate rank check of the kernel."""
+    kernel = np.asarray(kernel, dtype=np.int64).reshape(-1, tau.ell)
+    if kernel.shape[0] >= tau.ell and linalg.rank(tau.field, kernel) == tau.ell:
+        raise PreconditionError("kernel must be a proper subspace")
+    a_t = linalg.kernel_basis(tau.field, kernel)  # l x (l - dim kernel)
+    images = linalg.matmul(tau.field, tau.support_matrix(), a_t)  # row i is A.v_i
+    out = {}
+    for (_, mass), img in zip(tau.masses, images.tolist()):
+        out[tuple(img)] = out.get(tuple(img), Fraction(0)) + mass
+    return rowdist.RowDistribution.from_dict(tau.field, a_t.shape[1], out)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_implied_distribution_matches_oracle(q, data):
+    # kernels as drawn (rarely in RREF), as their RREF with or without its
+    # zero rows, or with a zero or a repeated row added; up to l + 3 rows,
+    # so a kernel of dimension l is often drawn and must be refused alike
+    fld = field_new(*{2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 9: (3, 2)}[q])
+    ell = data.draw(st.integers(1, 4), label="ell")
+    size = q ** ell
+    idx = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8, unique=True),
+                    label="support")
+    weights = data.draw(st.lists(st.integers(1, 6), min_size=len(idx), max_size=len(idx)),
+                        label="weights")
+    tau = rowdist.RowDistribution.from_dict(fld, ell, {
+        tuple(linalg.index_vector(i, ell, q).tolist()): Fraction(w, sum(weights))
+        for i, w in zip(idx, weights)})
+    rows = data.draw(st.lists(st.integers(0, size - 1), max_size=ell + 2), label="rows")
+    kernel = linalg.index_vector(np.array(rows, dtype=np.int64), ell, q).reshape(-1, ell)
+    form = data.draw(st.sampled_from(["drawn", "rref", "basis", "zero row", "repeated row"]),
+                     label="form")
+    r, rk, _ = linalg.rref(fld, kernel)
+    kernel = {"drawn": kernel, "rref": r, "basis": r[:rk],
+              "zero row": np.vstack([kernel, np.zeros((1, ell), dtype=np.int64)]),
+              "repeated row": np.vstack([kernel, kernel[:1]])}[form]
+
+    def outcome(fn):
+        try:
+            return fn(tau, kernel).to_json()
+        except PreconditionError as e:
+            return f"refused: {e}"
+
+    assert outcome(rowdist.implied_distribution) == outcome(implied_distribution_oracle)
+
+
 def test_expectation_threshold():
     tau = four_point_tau()
     assert rowdist.expectation_threshold(tau) == Fraction(1, 3)
@@ -112,6 +161,11 @@ def test_rstar_uniform_and_point_mass():
     assert rep.r_star == 0 and rep.r_expected == 0
     point = rowdist.RowDistribution.from_dict(F2, 2, {(1, 1): Fraction(1)})
     assert rowdist.rstar(point).r_star == 1
+    # the point mass at 0 spans no dimension, so no threshold is defined
+    for fld, ell in ((F2, 2), (F3, 1)):
+        origin = rowdist.RowDistribution.from_dict(fld, ell, {(0,) * ell: Fraction(1)})
+        with pytest.raises(PreconditionError, match=r"^point mass at 0 has d\(tau\) = 0$"):
+            rowdist.rstar(origin)
 
 
 def test_rstar_dominates_expectation_threshold():
@@ -410,8 +464,8 @@ def test_is_bad_list_matches_oracle(q, data):
 def test_listdec_threshold_search():
     from ldpclab import gvdistance as gv
 
-    tau, r = rowdist.listdec_threshold_search(
-        F2, Fraction(1, 4), 1, iterations=400, seed=0)
+    with mock.patch.object(rowdist, "SEARCH_ITERATIONS", 400):
+        tau, r = rowdist.listdec_threshold_search(F2, Fraction(1, 4), 1, seed=0)
     assert rowdist.is_bad_list(tau, Fraction(1, 4))[0]
     # internal consistency: reported value is the rstar of the witness
     assert rowdist.rstar(tau).r_star == r
