@@ -181,10 +181,12 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     A block vanishes iff its rows, each scaled by a uniform unit, sum to
     zero in F_q^l; that probability is an exact count of vanishing unit
     scalings, read off the transforms of the twisted rows, and the layer
-    DP `gvdistance.layer_prob` walks the blocks.  For l = 1 only the
-    nonzero count matters and `gvdistance.weight_layer_prob` applies.
+    DP `gvdistance.layer_prob` pushes probability forward block by block.
+    For l = 1 only the nonzero count matters (`weight_layer_prob`).
     """
     q = tau.field.q
+    if s < 1:
+        raise PreconditionError(f"s = {s} must be >= 1")
     if n % s != 0:
         raise PreconditionError(f"s = {s} does not divide n = {n}")
     counts = []

@@ -110,20 +110,22 @@ def layer_prob(counts, s: int, block_zero) -> float:
     The layer cuts the rows into blocks of s uniformly, and a block holding
     k_i rows of type i vanishes with probability block_zero(k).  Drawing
     the blocks in turn, the remaining counts move from rem to rem - k with
-    weight prod_i C(rem_i, k_i) / C(sum rem, s).  A forward pass collects
-    each block's reachable states and weighted steps; a backward pass
-    values them from the last block back.  s must divide sum(counts).
+    weight prod_i C(rem_i, k_i) / C(sum rem, s).  One forward pass pushes
+    each state's probability along its vanishing blocks, holding only the
+    current and the next block's states.  s must divide sum(counts).
     Each composition examined at a state costs one entry per row type;
     past WORK_GUARD entries the DP stops before it lists any more.
     """
+    if s < 1:
+        raise PreconditionError(f"s = {s} must be >= 1")
     if sum(counts) % s:
         raise PreconditionError(f"s = {s} does not divide the {sum(counts)} rows")
-    frontier = {tuple(counts): 0}
-    work, levels, comps, s_caps = 0, [], {}, (s,) * len(counts)
+    frontier = {tuple(counts): 1.0}
+    work, comps, s_caps = 0, {}, (s,) * len(counts)
     for _ in range(sum(counts) // s):
-        nxt_index, level = {}, []
-        for rem in frontier:
-            denom, steps = math.comb(sum(rem), s), []  # flat (coefficient, next) pairs
+        nxt_frontier = {}
+        for rem, prob in frontier.items():
+            denom = math.comb(sum(rem), s)
             caps = tuple(map(min, rem, s_caps))
             if caps not in comps:
                 budget = (WORK_GUARD - work) // len(counts)
@@ -135,24 +137,10 @@ def layer_prob(counts, s: int, block_zero) -> float:
                 if z == 0.0:
                     continue
                 nxt = tuple(map(operator.sub, rem, comp))
-                if nxt not in nxt_index:
-                    nxt_index[nxt] = len(nxt_index)
                 weight = math.prod(map(math.comb, rem, comp))
-                steps += (weight / denom * z, nxt_index[nxt])
-            level.append(steps)
-        levels.append(level)
-        frontier = nxt_index
-    value = [1.0] * len(frontier)  # past the last block: the empty state
-    for level in reversed(levels):
-        cur = []
-        for steps in level:
-            total = 0.0
-            pairs = iter(steps)
-            for coef, j in zip(pairs, pairs):
-                total += coef * value[j]
-            cur.append(total)
-        value = cur
-    return value[0]
+                nxt_frontier[nxt] = nxt_frontier.get(nxt, 0.0) + prob * (weight / denom * z)
+        frontier = nxt_frontier
+    return frontier.get((0,) * len(counts), 0.0)
 
 
 def weight_layer_prob(q: int, n: int, s: int, w: int) -> float:

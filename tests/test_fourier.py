@@ -298,26 +298,23 @@ def test_exact_layer_prob_oracle_by_partition_enumeration():
 
 
 def walk_oracle(counts, s, block_zero):
-    """The layer DP as a recursive, memoised walk over the remaining
-    row-type counts, compositions in lexicographic order; `layer_prob`
-    must reproduce its floats bit for bit."""
-
-    @functools.cache
-    def walk(rem):
-        n_rem = sum(rem)
-        if n_rem == 0:
-            return 1.0
-        total = 0.0
-        for comp in itertools.product(*(range(c + 1) for c in rem)):
-            z = block_zero(comp) if sum(comp) == s else 0.0
-            if z == 0.0:
-                continue
-            weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
-            nxt = tuple(c - k for c, k in zip(rem, comp))
-            total += (weight / math.comb(n_rem, s)) * z * walk(nxt)
-        return total
-
-    return walk(tuple(counts))
+    """The layer DP as a plain forward push over the remaining row-type
+    counts: states in the order first reached, compositions in
+    `itertools.product` order; `layer_prob` must reproduce its floats bit
+    for bit."""
+    frontier = {tuple(counts): 1.0}
+    for _ in range(sum(counts) // s):
+        pushed = {}
+        for rem, prob in frontier.items():
+            for comp in itertools.product(*(range(c + 1) for c in rem)):
+                z = block_zero(comp) if sum(comp) == s else 0.0
+                if z == 0.0:
+                    continue
+                weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
+                nxt = tuple(c - k for c, k in zip(rem, comp))
+                pushed[nxt] = pushed.get(nxt, 0.0) + prob * (weight / math.comb(sum(rem), s) * z)
+        frontier = pushed
+    return frontier.get((0,) * len(counts), 0.0)
 
 
 def block_zero_by_count(tau, s):
@@ -408,6 +405,9 @@ def test_exact_layer_prob_guards():
     tau = make_tau(F2, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     with pytest.raises(PreconditionError, match="s = 3 does not divide n = 10"):
         fourier.exact_layer_prob(tau, 10, 3)
+    for s in (0, -3):
+        with pytest.raises(PreconditionError, match=f"s = {s} must be >= 1"):
+            fourier.exact_layer_prob(tau, 6, s)
 
 
 def test_exact_layer_prob_state_guard(monkeypatch):
@@ -453,6 +453,8 @@ def test_exact_layer_prob_work_guard(case, n, s, quantity):
     assert msg.startswith("layer DP examined ")
     assert msg.endswith(f" {quantity}, more than WORK_GUARD = 2000000")
     assert int(msg.split()[3]) > gvdistance.WORK_GUARD
+    if case == "six":  # the states the DP expands, in the order it reaches them
+        assert int(msg.split()[3]) == 2001096
 
 
 def pair_layer_prob_by_egf(counts, s):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,27 +181,72 @@ def test_p_lambda_exact_vs_permutation_oracle(q, w):
 
 
 def weight_layer_prob_oracle(q, n, s, w):
-    """The weight DP as a plain loop over every nonzero count x, from the
-    last block back, with hypergeometric weights; the iteration order and
-    float operations `layer_prob` must reproduce bit for bit."""
+    """The weight DP as a plain forward loop over the nonzero count x left
+    after each block, largest x first and k ascending, with hypergeometric
+    weights; the iteration order and float operations `layer_prob` must
+    reproduce bit for bit."""
     r = gv.zero_sum_probs(q, s)
-    blocks = n // s
-    # after[x]: probability that the blocks after the current one
-    # annihilate x nonzero coordinates (past the last block, only x = 0)
-    after = [1.0]
-    for b in range(blocks - 1, -1, -1):
-        n_rem = (blocks - b) * s
-        cur = []
-        for x in range(min(w, n_rem) + 1):
-            total = 0.0
+    # prob[x]: probability that the blocks so far vanished and left x of
+    # the w nonzero coordinates among the n_rem coordinates still to place
+    prob = {w: 1.0}
+    for n_rem in range(n, 0, -s):
+        pushed = {}
+        for x in sorted(prob, reverse=True):
             for k in range(max(0, x - (n_rem - s)), min(s, x) + 1):
                 if r[k] == 0.0:
                     continue
                 pk = math.comb(x, k) * math.comb(n_rem - x, s - k) / math.comb(n_rem, s)
-                total += pk * r[k] * after[x - k]
-            cur.append(total)
-        after = cur
-    return after[w]
+                pushed[x - k] = pushed.get(x - k, 0.0) + prob[x] * (pk * r[k])
+        prob = pushed
+    return prob.get(0, 0.0)
+
+
+def layer_prob_exact(counts, s, block_zero):
+    """The layer DP in exact rationals: each state's probability pushed
+    along every vanishing block composition, with block_zero(k) read as
+    the exact value of its float."""
+    frontier = {tuple(counts): Fraction(1)}
+    for _ in range(sum(counts) // s):
+        pushed = {}
+        for rem, prob in frontier.items():
+            for comp in itertools.product(*(range(min(c, s) + 1) for c in rem)):
+                if sum(comp) != s:
+                    continue
+                weight = math.prod(math.comb(c, k) for c, k in zip(rem, comp))
+                nxt = tuple(c - k for c, k in zip(rem, comp))
+                pushed[nxt] = pushed.get(nxt, 0) + prob * Fraction(block_zero(comp)) * Fraction(
+                    weight, math.comb(sum(rem), s))
+        frontier = pushed
+    return frontier.get((0,) * len(counts), Fraction(0))
+
+
+def pair_block_zero(k):
+    """Over F_2 with rows (1, 1), (1, 0), (0, 1), (0, 0) counted by k, a
+    block sums to zero iff it holds an even number of ones in each column."""
+    return float((k[0] + k[1]) % 2 == 0 and (k[0] + k[2]) % 2 == 0)
+
+
+@pytest.mark.parametrize("counts,s", [
+    ((2, 4, 4, 14), 3), ((2, 4, 4, 14), 4), ((2, 4, 4, 14), 6), ((3, 9, 9, 27), 4),
+    ((3, 9, 9, 27), 6), ((3, 9, 9, 27), 12), ((1, 5, 7, 11), 8)])
+def test_layer_prob_is_exact_on_f2_pairs(counts, s):
+    # block_zero is 0 or 1, so every input of the DP is exact
+    want = layer_prob_exact(counts, s, pair_block_zero)
+    got = gv.layer_prob(counts, s, pair_block_zero)
+    assert 0 < want < 1
+    assert abs(Fraction(got) - want) <= want * Fraction(1e-14)
+
+
+@pytest.mark.parametrize("q,n,s,w", [
+    (2, 48, 4, 24), (2, 96, 6, 40), (3, 60, 3, 30), (3, 96, 6, 48),
+    (3, 300, 3, 150), (3, 300, 3, 7), (2, 300, 3, 100)])
+def test_weight_layer_prob_is_exact(q, n, s, w):
+    # for q in {2, 3}, r_k = (1 - r_{k-1}) / (q - 1) is dyadic, so exact in a float
+    r = gv.zero_sum_probs(q, s)
+    want = layer_prob_exact((w, n - w), s, lambda k: r[k[0]])
+    got = gv.weight_layer_prob(q, n, s, w)
+    assert 0 < want < 1
+    assert abs(Fraction(got) - want) <= want * Fraction(1e-14)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 16])
@@ -224,6 +270,38 @@ def test_layer_prob_rejects_partial_blocks():
         gv.weight_layer_prob(2, 10, 3, 2)
     with pytest.raises(PreconditionError, match="s = 2 does not divide the 5 rows"):
         gv.layer_prob((1, 2, 2), 2, lambda k: 1.0)
+
+
+def test_layer_prob_rejects_nonpositive_block_size():
+    for s in (0, -2, -3):
+        with pytest.raises(PreconditionError, match=f"s = {s} must be >= 1"):
+            gv.weight_layer_prob(2, 6, s, 2)
+        with pytest.raises(PreconditionError, match=f"s = {s} must be >= 1"):
+            gv.layer_prob((2, 4), s, lambda k: 1.0)
+
+
+def test_weight_layer_prob_work_count():
+    # each state examines four compositions of two entries, so the guard
+    # trips at the 250,001st state expanded; another state set or order
+    # would read another count
+    with pytest.raises(StateSpaceTooLarge) as err:
+        gv.weight_layer_prob(3, 1800, 3, 900)
+    assert str(err.value) == (
+        "layer DP examined 2000008 composition entries, more than WORK_GUARD = 2000000")
+
+
+def test_layer_prob_memory_is_flat():
+    # n = 240, s = 3, w = 120 walks 80 blocks of up to 121 states; storing
+    # every block's steps peaked near 1 MiB, and two frontiers take a few
+    # KiB plus the interpreter's tuple free lists (at most about 0.11 MiB)
+    tracemalloc.start()
+    try:
+        p = gv.weight_layer_prob(3, 240, 3, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < p < 1
+    assert peak < 2 ** 20 // 5
 
 
 def test_layer_dp_state_guard(monkeypatch):
