@@ -182,25 +182,24 @@ def exact_layer_prob(tau: RowDistribution, n: int, s: int) -> float:
     zero in F_q^l; that probability is an exact count of vanishing unit
     scalings, read off the transforms of the twisted rows, and the layer
     DP `gvdistance.layer_prob` pushes probability forward block by block.
-    For l = 1 only the nonzero count matters (`weight_layer_prob`).
+    Rows v and c.v, scaled by a uniform unit, are alike: the DP has one row type per line.
     """
     q = tau.field.q
     if s < 1:
         raise PreconditionError(f"s = {s} must be >= 1")
     if n % s != 0:
         raise PreconditionError(f"s = {s} does not divide n = {n}")
-    counts = []
     for v, mass in tau.masses:
-        c = mass * n
-        if c.denominator != 1:
-            raise PreconditionError(f"tau({v}) * n = {c} is not an integer")
-        counts.append(int(c))
-    if tau.ell == 1:
-        w = sum(c for (v,), c in zip(tau.support(), counts) if v != 0)
-        return gvdistance.weight_layer_prob(q, n, s, w)
-
-    # each pattern of <v_i, y> = 0 over the support, with how many y have it
-    rows, mult = np.unique(orthogonality(tau), axis=0, return_counts=True)
+        if (mass * n).denominator != 1:
+            raise PreconditionError(f"tau({v}) * n = {mass * n} is not an integer")
+    # <y, c.v> = 0 iff <y, v> = 0, so each column of the table is one line: count
+    # its rows, keeping the lines in the order the support first meets them
+    lines: dict[tuple[bool, ...], int] = {}
+    for (_, mass), col in zip(tau.masses, orthogonality(tau).T.tolist()):
+        lines[tuple(col)] = lines.get(tuple(col), 0) + int(mass * n)
+    counts = list(lines.values())
+    # each pattern of <v_i, y> = 0 over the lines, with how many y have it
+    rows, mult = np.unique(np.array(list(lines)).T, axis=0, return_counts=True)
     # the first block meets every composition of s under min(counts, s), later blocks fewer
     comps = list(itertools.islice(gvdistance.compositions(s, tuple(min(c, s) for c in counts)),
                                   gvdistance.WORK_GUARD // len(mult) + 1))

@@ -183,6 +183,22 @@ def test_ldpc_contain_exact_null_only_past_work_guard(tmp_path, n, ones, s, rate
     assert got == (exact if exact is None else pytest.approx(exact, rel=1e-3))
 
 
+def test_ldpc_contain_exact_over_f3_counts_rows_per_line(tmp_path):
+    def exact(rows):
+        mat = tmp_path / "m.json"
+        mat.write_text(json.dumps({"field": {"p": 3, "h": 1}, "rows": rows}))
+        out = tmp_path / "lc.json"
+        assert run(["ldpc-contain", "--matrix", str(mat), "--s", "3", "--rate", "1/3",
+                    "--seed", "0", "--out", str(out)]) == 0
+        return json.loads(out.read_text())["exact_probability"]
+
+    # five vector types on three lines: rows v and 2v are one row type, so the
+    # DP answers, as on the matrix with each row replaced by its line's first
+    got = exact([[1, 0]] * 6 + [[2, 0]] * 6 + [[0, 1]] * 6 + [[0, 2]] * 6 + [[0, 0]] * 24)
+    assert got is not None and 0 < got < 1
+    assert got == exact([[1, 0]] * 12 + [[0, 1]] * 12 + [[0, 0]] * 24)
+
+
 def test_table_guard_message(tmp_path, capsys):
     rows = np.eye(24, 20, dtype=np.int64)
     mat = tmp_path / "m.json"

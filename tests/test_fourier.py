@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from ldpclab import fourier, gvdistance, linalg, rowdist
 from ldpclab.ensembles import LdpcEnsembleParams
-from ldpclab.errors import MalformedInput, NumericError, PreconditionError, StateSpaceTooLarge
+from ldpclab.errors import (MalformedInput, NumericError, PreconditionError, ResourceGuardError,
+                            StateSpaceTooLarge)
 from ldpclab.gf import field_new
 from ldpclab.rowdist import RowDistribution
+from test_gvdistance import layer_prob_exact
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -257,7 +259,20 @@ def test_exact_layer_prob_small_matrices():
     assert fourier.exact_layer_prob(tau3, 2, 2) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_exact_layer_prob_general_path_matches_weight_path():
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_exact_layer_prob_matches_weight_layer_prob(q):
+    # for l = 1 the lines are the zero vector and every nonzero one, so the
+    # table's DP runs on the counts the weight DP runs on, in the other order;
+    # the two floats each lie within about 1e-14 of the exact rational
+    fld = field_new(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
+    for n, s, w in [(6, 3, 2), (24, 4, 10), (60, 6, 31), (96, 3, 40), (300, 3, 7),
+                    (300, 3, 150), (300, 4, 298), (300, 6, 299)]:
+        units = list(range(1, q))
+        tau = make_tau(fld, 1, {(0,): Fraction(n - w, n), **{
+            (u,): Fraction(w // len(units) + (i < w % len(units)), n)
+            for i, u in enumerate(units)}})
+        assert fourier.exact_layer_prob(tau, n, s) == pytest.approx(
+            gvdistance.weight_layer_prob(q, n, s, w), rel=1e-13, abs=0)
     # an l = 2 distribution supported on a single line reduces to the l = 1 DP
     tau2 = make_tau(F2, 2, {(0, 0): Fraction(2, 3), (1, 0): Fraction(1, 3)})
     tau1 = make_tau(F2, 1, {(0,): Fraction(2, 3), (1,): Fraction(1, 3)})
@@ -334,6 +349,17 @@ def block_zero_by_count(tau, s):
     return block_zero
 
 
+def line_types(tau):
+    """tau with the mass of each line of its support on the line's first
+    support vector: v and c.v share their column of <y, v> = 0, and the
+    sorted support meets each line first at that vector."""
+    rep, d = {}, {}
+    for (v, m), col in zip(tau.masses, rowdist.orthogonality(tau).T.tolist()):
+        v = rep.setdefault(tuple(col), v)
+        d[v] = d.get(v, 0) + m
+    return make_tau(tau.field, tau.ell, d)
+
+
 def exact_layer_prob_oracle(tau, n, s):
     """The layer probability by the same block DP, with each block's
     zero-sum probability from repeated index-addition convolutions of the
@@ -392,8 +418,9 @@ def test_exact_layer_prob_matches_oracle(fld, ell, data):
     want = exact_layer_prob_oracle(tau, n, s)
     assert (got == 0) == (want == 0)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
-    counts = [int(m * n) for _, m in tau.masses]
-    assert got == walk_oracle(counts, s, block_zero_by_count(tau, s))
+    lines = line_types(tau)
+    counts = [int(m * n) for _, m in lines.masses]
+    assert got == walk_oracle(counts, s, block_zero_by_count(lines, s))
 
 
 def test_exact_layer_prob_guards():
@@ -489,6 +516,53 @@ def test_exact_layer_prob_admits_the_n96_pair():
     got = fourier.exact_layer_prob(tau, n, s)
     assert got == pytest.approx(pair_layer_prob_by_egf(list(counts.values()), s), rel=1e-9)
     assert 0 < got < 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_layer_prob_is_invariant_under_row_scaling(data):
+    # each row of M scaled by its own unit: the lines keep their counts
+    fld, ell = data.draw(st.sampled_from([(f, e) for f, e in LAYER_SHAPES if f.q > 2]),
+                         label="shape")
+    n = data.draw(st.integers(1, 24), label="n")
+    s = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="s")
+    pool = data.draw(st.lists(st.integers(0, fld.q ** ell - 1), min_size=1, max_size=4,
+                              unique=True), label="pool")
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="rows")
+    units = data.draw(st.lists(st.integers(1, fld.q - 1), min_size=n, max_size=n), label="units")
+    m = np.array([linalg.index_vector(i, ell, fld.q) for i in picks], dtype=np.int64)
+    scaled = fld.mul(np.array(units)[:, None], m)
+    want = fourier.exact_layer_prob(rowdist.row_distribution_of(fld, m), n, s)
+    got = fourier.exact_layer_prob(rowdist.row_distribution_of(fld, scaled), n, s)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_exact_layer_prob_admits_an_f3_pair_by_lines():
+    # six vector types on four lines of F_3^2: per vector type the layer DP
+    # examined more than WORK_GUARD entries at s = 3, 6 and 12
+    n, s = 48, 6
+    tau = make_tau(F3, 2, {v: Fraction(c, n) for v, c in {
+        (0, 0): 24, (1, 0): 6, (2, 0): 6, (0, 1): 6, (0, 2): 3, (2, 2): 3}.items()})
+    start = time.perf_counter()
+    got = fourier.exact_layer_prob(tau, n, s)
+    assert time.perf_counter() - start < 1
+    lines = line_types(tau)
+    assert [int(m * n) for _, m in lines.masses] == [24, 9, 12, 3]
+    want = layer_prob_exact([24, 9, 12, 3], s, block_zero_by_count(lines, s))
+    assert 0 < want < 1
+    assert abs(Fraction(got) - want) <= want * Fraction(1e-14)
+
+
+def test_exact_layer_prob_checks_counts_before_the_table():
+    # two unit vectors of F_2^20 make a 2^21-cell table, past TABLE_GUARD
+    tau = make_tau(F2, 20, {tuple(int(j == i) for j in range(20)): Fraction(1, 2)
+                            for i in range(2)})
+    with pytest.raises(PreconditionError, match=r"\* n = 3/2 is not an integer"):
+        fourier.exact_layer_prob(tau, 3, 3)
+    with pytest.raises(PreconditionError, match="s = 4 does not divide n = 6"):
+        fourier.exact_layer_prob(tau, 6, 4)
+    with pytest.raises(ResourceGuardError, match="TABLE_GUARD"):
+        fourier.exact_layer_prob(tau, 4, 2)
 
 
 def test_ldpc_contain_bound_report():
