@@ -2,20 +2,24 @@
 
 The LDPC ensemble stacks t = (1-R)*s independent layers; each layer
 partitions the n coordinates into n/s parity checks via a uniform
-permutation and scales every coordinate by a uniform nonzero element.  One
-batched layer sampler draws each layer's sort keys and units: `sample_ldpc`
-(one trial) orders the keys by a stable argsort, and the Monte Carlo
-estimator (many) finds the slot of each of M's nonzero rows by counting
-smaller keys.  Sampling is driven by a counter-based PRNG (numpy Philox
-keyed on a seed in [0, 2^128)), so a (params, seed) pair reproduces a code
-bit-for-bit and Monte Carlo workers can partition seed space
-deterministically.
+permutation and scales every coordinate by a uniform nonzero element.
+Sampling is driven by a counter-based PRNG (numpy Philox keyed on a seed in
+[0, 2^128)), so a (params, seed) pair reproduces a code bit-for-bit and
+Monte Carlo workers can partition seed space deterministically.
 
-The RLC estimator keeps the stream of `integers(0, q)` but not its cost:
-it reads the bit generator's 32-bit words itself, drops the ones numpy's
-bounded-integer draw rejects (u*q mod 2^32 < 2^32 mod q), and decodes
-(u*q) >> 32 only in the columns of H that M's nonzero rows meet, about
-RLC_WORDS words at a time so that memory stays flat in n.
+Both Monte Carlo estimators keep the streams of plain numpy draws but not
+their cost: they read the bit generator's words themselves, in blocks of
+about LDPC_WORDS or RLC_WORDS words, so that memory stays flat in n and in
+the trial count.  `_BoundedWords` reads the 32-bit words behind
+`integers`, dropping the ones numpy's bounded-integer draw rejects
+(u*q mod 2^32 < 2^32 mod q).  One block reader, `_layer_blocks`, yields each
+LDPC layer's sort keys (the raw words behind `random`, shifted right by 11)
+and its unit words: `sample_ldpc` (one trial) orders the keys by a stable
+argsort, and the estimator (many) ranks only M's nonzero rows, by counting
+smaller keys or, for many rows, by one stable argsort, and decodes units
+only at their slots.  The RLC estimator tests only the columns of H that
+M's nonzero rows meet: over F_2 by the XOR of their words, over F_p by
+exact float sums.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .gf import Field, field_new
 ENUM_GUARD = 1 << 24
 RLC_WORDS = 1 << 17  # 32-bit words per RLC Monte Carlo batch (0.5 MiB, L2-sized)
 LDPC_CHUNK = 1 << 14  # LDPC Monte Carlo trials per batch; fixes LDPC's stream
+LDPC_WORDS = 1 << 16  # 64-bit sort-key words per LDPC block (0.5 MiB, L2-sized)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -162,27 +167,112 @@ def sample_rlc(n: int, rate: Fraction, fld: Field, seed: int) -> LinearCode:
     return LinearCode(fld, h, 0, rate, seed)
 
 
-def _layer_draws(params: LdpcEnsembleParams, rng: np.random.Generator, trials: int):
-    """Yield the t layers of `trials` independent codes as (keys, units).
+class _BoundedWords:
+    """The 32-bit Philox words that `Generator.integers(low, low + q,
+    dtype=np.int64)` turns into draws, read straight from the bit generator.
 
-    Both arrays are (trials, n): uniform sort keys, whose stable argsort
-    is a uniform permutation of [0, n), and a uniform unit per permuted
-    position (for q = 2 the only unit is 1, and `integers(1, 2)` consumes
-    no random bits).  Check i of a layer holds the coordinates at slots
-    [i*s, (i+1)*s) of that permutation, scaled by the units at those slots.
+    For q < 2^32 numpy maps a word u to the draw low + (u*q) >> 32 (Lemire's
+    bounded integers), rejecting u when u*q mod 2^32 < 2^32 mod q and
+    drawing again from the next word.  Words come from `random_raw`, low
+    half first; every fresh word is scanned, since one rejected word
+    shifts every later draw, and the rejected ones are dropped (none when
+    q is a power of 2, a 2^-32 share for q = 3), so `take` returns the
+    accepted words in stream order.  The words read past a call's count
+    carry over to the next call, as numpy's buffered half-word does, even
+    across other draws from the same bit generator.
+    """
+
+    def __init__(self, bitgen: np.random.BitGenerator, q: int):
+        self.bitgen, self.q = bitgen, q
+        self.threshold = (1 << 32) % q
+        self.carry = self.low = np.empty(0, dtype=np.uint32)
+
+    def take(self, count: int) -> np.ndarray:
+        words = self.carry
+        while len(words) < count:
+            raw = self.bitgen.random_raw(-(-(count - len(words)) // 2))
+            fresh = raw.astype("<u8", copy=False).view("<u4")
+            if self.threshold:
+                if len(self.low) < len(fresh):  # reused: a fresh array would fault in
+                    self.low = np.empty(len(fresh), dtype=np.uint32)
+                # u*q mod 2^32
+                low = np.multiply(fresh, np.uint32(self.q), out=self.low[:len(fresh)])
+                if low.min() < self.threshold:
+                    fresh = fresh[low >= self.threshold]
+            words = np.concatenate([words, fresh]) if len(words) else fresh
+        self.carry = words[count:].copy()  # not a view that keeps the block alive
+        return words[:count]
+
+    def draws(self, words: np.ndarray) -> np.ndarray:
+        """The draws (u*q) >> 32 of accepted words u, before adding low."""
+        return (words * np.uint64(self.q) >> 32).view(np.int64)
+
+
+def _ahead(bitgen: np.random.Philox, words: int) -> np.random.Philox:
+    """A copy of the Philox bit generator `words` 64-bit words further on.
+
+    Philox buffers the four words of one counter value; `advance(k)`
+    skips k counter values and empties the buffer."""
+    ahead = np.random.Philox(key=0)
+    ahead.state = state = bitgen.state
+    buffered = 4 - state["buffer_pos"]
+    if words > buffered:
+        ahead.advance((words - buffered) // 4)
+        words = (words - buffered) % 4
+    ahead.random_raw(words)
+    return ahead
+
+
+def _layer_blocks(params: LdpcEnsembleParams, units: _BoundedWords, trials: int):
+    """Yield the t layers of `trials` codes in blocks of about LDPC_WORDS
+    words, as (layer, first trial, keys, unit words): the keys as (n, trials)
+    rows, one per coordinate, the unit words as (trials, n).
+
+    The stream is that of `rng.random(size=(trials, n))` and then
+    `rng.integers(1, q, size=(trials, n))` per layer, where rng owns
+    `units.bitgen`.  A double from `random` is (w >> 11) 2^-53 for a raw
+    word w, so the uint64 keys w >> 11 have the doubles' order and ties,
+    and the stable argsort of a trial's keys is a uniform permutation of
+    [0, n).  The units are 1 + `units.draws` of the unit words; for q = 2
+    the only unit is 1, `integers(1, 2)` reads nothing and the words are
+    None.  A layer's unit words follow all its keys, so when the layer
+    takes several blocks they are read alongside them by a copy of the bit
+    generator `_ahead` of the keys, which then reads the next layer's keys.
+    Check i of a layer holds the coordinates at slots [i*s, (i+1)*s) of the
+    permutation, scaled by the units at those slots.  The keys of a block
+    are overwritten by the next.
     """
     n, q = params.n, params.field.q
-    for _ in range(params.t):
-        yield rng.random(size=(trials, n)), rng.integers(1, q, size=(trials, n))
+    step = max(1, min(trials, LDPC_WORDS // n))
+    keys = np.empty((n, step), dtype=np.uint64)  # refilled: a fresh array would fault in
+    for layer in range(params.t):
+        stream = units.bitgen
+        if q > 2 and trials > step:
+            units.bitgen = _ahead(stream, trials * n)
+        for start in range(0, trials, step):
+            count = min(step, trials - start)
+            np.right_shift(stream.random_raw(count * n).reshape(count, n).T, 11,
+                           out=keys[:, :count])
+            yield (layer, start, keys[:, :count],
+                   units.take(count * n).reshape(count, n) if q > 2 else None)
+
+
+def _unit_stream(params: LdpcEnsembleParams, seed: int) -> _BoundedWords:
+    """The reader of the LDPC stream at `seed`, units in [1, q)."""
+    return _BoundedWords(make_rng(seed).bit_generator, params.field.q - 1)
 
 
 def sample_ldpc(params: LdpcEnsembleParams, seed: int) -> LinearCode:
-    """Stack t independent layers, each a scaled random partition into checks."""
+    """Stack t independent layers, each a scaled random partition into checks:
+    the one-trial blocks of `_layer_blocks`, whose Monte Carlo trials at
+    `seed` test exactly this code."""
     n, blocks = params.n, params.checks_per_layer
     h = np.zeros((params.t * blocks, n), dtype=np.int64)
     check = np.arange(n) // params.s  # check of each permuted position
-    for j, (keys, units) in enumerate(_layer_draws(params, make_rng(seed), 1)):
-        h[j * blocks + check, np.argsort(keys[0], kind="stable")] = units[0]
+    units = _unit_stream(params, seed)
+    for j, _, keys, words in _layer_blocks(params, units, 1):
+        h[j * blocks + check, np.argsort(keys[:, 0], kind="stable")] = (
+            1 if words is None else 1 + units.draws(words[0]))
     return LinearCode(params.field, h, params.s, params.rate, seed)
 
 
@@ -481,39 +571,6 @@ def _check_trials(trials: int) -> None:
         raise PreconditionError(f"trials must be at least 1, got {trials}")
 
 
-class _BoundedWords:
-    """The 32-bit Philox words that `Generator.integers(0, q, dtype=np.int64)`
-    turns into draws, read straight from the bit generator.
-
-    For q < 2^32 numpy maps a word u to the draw (u*q) >> 32 (Lemire's
-    bounded integers), rejecting u when u*q mod 2^32 < 2^32 mod q and
-    drawing again from the next word.  Words come from `random_raw`, low
-    half first; every fresh word is scanned, since one rejected word
-    shifts every later draw, and the rejected ones are dropped (none when
-    q is a power of 2, a 2^-32 share for q = 3), so `take` returns the
-    accepted words in stream order.  The words read past a call's count
-    carry over to the next call, as numpy's buffered half-word does.
-    """
-
-    def __init__(self, bitgen: np.random.BitGenerator, q: int):
-        self.bitgen, self.q = bitgen, np.uint32(q)
-        self.threshold = (1 << 32) % q
-        self.carry = np.empty(0, dtype=np.uint32)
-
-    def take(self, count: int) -> np.ndarray:
-        words = self.carry
-        while len(words) < count:
-            raw = self.bitgen.random_raw(-(-(count - len(words)) // 2))
-            fresh = raw.astype("<u8", copy=False).view("<u4")
-            if self.threshold:
-                low = fresh * self.q  # u*q mod 2^32
-                if low.min() < self.threshold:
-                    fresh = fresh[low >= self.threshold]
-            words = np.concatenate([words, fresh]) if len(words) else fresh
-        self.carry = words[count:]
-        return words[:count]
-
-
 def mc_rlc_contains(
     m: np.ndarray,
     rate: Fraction,
@@ -527,34 +584,70 @@ def mc_rlc_contains(
     `make_rng(seed).integers(0, q, size=(trials, (1-R)n, n))`, and M is
     contained iff H.M = 0.  The words behind those draws (`_BoundedWords`)
     are read in batches of whole trials, about RLC_WORDS words each (one
-    trial when H alone is larger); the stream does not depend on the
-    batching.  H.M reads only the columns of H at M's nonzero rows, so
-    only those words are decoded, and they are multiplied by M's nonzero
-    rows.
+    trial when H alone is larger), fewer when M has more than n/4 nonzero
+    rows, so that a batch decodes at most RLC_WORDS/4 draws; the stream
+    does not depend on the batching.  H.M reads only the columns of H at
+    M's nonzero rows, so only those words are tested (`_zero_rows`).
     """
     m = linalg.as_matrix(m, fld)
-    n, ell = m.shape
+    n = len(m)
     rows = _rlc_rows(n, rate)
     _check_trials(trials)
     supp = np.flatnonzero(m.any(axis=1))
     words = _BoundedWords(make_rng(seed).bit_generator, fld.q)
-    chunk = max(1, RLC_WORDS // (rows * n))
+    chunk = max(1, RLC_WORDS // (rows * max(n, 4 * len(supp))))
     hits = 0
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)
-        u = words.take(b * rows * n).reshape(b * rows, n)[:, supp]
-        hs = (u * np.uint64(fld.q) >> 32).view(np.int64)  # the draws in these columns
-        prod = linalg.matmul(fld, hs, m[supp]).reshape(b, rows * ell)
-        hits += int(np.count_nonzero(~prod.any(axis=1)))
+        cols = words.take(b * rows * n).reshape(b * rows, n).T[supp]
+        zero = _zero_rows(fld, words, cols, m[supp])
+        hits += int(np.count_nonzero(zero.reshape(b, rows).all(axis=1)))
     return hits / trials
 
 
-def _slots(keys: np.ndarray, i: int) -> np.ndarray:
-    """Slot of coordinate i in the stable argsort of each column of the
-    (n, trials) `keys`: the keys below its own, plus the equal keys at a
-    lower index."""
-    return (np.count_nonzero(keys[:i] <= keys[i], axis=0)
-            + np.count_nonzero(keys[i + 1:] < keys[i], axis=0))
+def _zero_rows(fld: Field, words: _BoundedWords, cols: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Whether each row of H.M vanishes, for the (rows of M, rows of H)
+    accepted words `cols` of H's columns at M's nonzero rows `ms`.
+
+    Over F_2 a draw is the top bit of its word, so column c of H.M is the
+    top bit of the XOR of the words that column c of M selects.  Over F_p
+    the draws are floor(u p 2^-32), exact in float64, and the column sums
+    of H.M before reduction are below n p^2 < 2^53, so one float product
+    gives them exactly; a sum S is a multiple of p iff rint(S/p) p = S.
+    Over other fields the decoded draws go through `linalg.matmul`.
+    """
+    if fld.q == 2:
+        top = np.zeros(cols.shape[1], dtype=np.uint32)
+        for c in ms.T.astype(bool):
+            top |= np.bitwise_xor.reduce(cols[c], axis=0)
+        return top < 1 << 31
+    if fld.h == 1:
+        draws = np.multiply(cols, fld.p / 2 ** 32)
+        sums = ms.T.astype(np.float64) @ np.floor(draws, out=draws)
+        return (np.rint(sums / fld.p) * fld.p == sums).all(axis=0)
+    return ~linalg.matmul(fld, words.draws(cols).T, ms).any(axis=1)
+
+
+def _slots(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Slot of each coordinate in `rows` in the stable argsort of each
+    trial's column of the (n, trials) `keys`, as a (rows, trials) array.
+
+    A coordinate's slot is the number of keys below its own, plus the
+    equal keys at a lower index: counting costs |rows| n comparisons per
+    trial.  One stable argsort of a block costs about as much as counting
+    for 7 log2 n rows (2-vCPU x86_64, numpy 2.4.6, n = 24 to 600), so past
+    that it ranks every coordinate instead.
+    """
+    n = len(keys)
+    if len(rows) > 7 * n.bit_length():
+        order = np.argsort(keys, axis=0, kind="stable")
+        inverse = np.empty_like(order)
+        np.put_along_axis(inverse, order, np.arange(n)[:, None], axis=0)
+        return inverse[rows]
+    count = np.min_scalar_type(n)
+    return np.array([(keys[:i] <= keys[i]).sum(axis=0, dtype=count)
+                     + (keys[i + 1:] < keys[i]).sum(axis=0, dtype=count) for i in rows],
+                    dtype=np.intp)
 
 
 def mc_ldpc_contains(
@@ -566,37 +659,46 @@ def mc_ldpc_contains(
     """Fraction of sampled s-LDPC codes containing M.
 
     Per layer, M is annihilated iff every check's scaled row sum vanishes.
-    The layers of LDPC_CHUNK trials at a time come from the batched sampler
-    that `sample_ldpc` uses, so one trial at `seed` tests exactly the code
-    `sample_ldpc(params, seed)`.  Every layer draws for the whole chunk, but
-    only M's nonzero rows and the trials no earlier layer rejected are
-    summed: the slot of coordinate i in a trial's permutation is the number
-    of keys below its own, ties broken by index as the stable argsort does,
-    and its unit multiple of row i goes to check slot // s.
+    The layers of LDPC_CHUNK trials at a time are read in blocks by
+    `_layer_blocks`, the sampler of `sample_ldpc`, so one trial at `seed`
+    tests exactly the code `sample_ldpc(params, seed)`.  Every block is
+    read whole, but only M's nonzero rows and the trials no earlier layer
+    rejected are summed: the slot of coordinate i in a trial's permutation
+    comes from `_slots`, its unit is decoded from the unit word at that
+    slot alone, and its unit multiple of row i goes to check slot // s.
+    Memory is that of a block, whatever n and the trial count.
     """
-    fld = params.field
+    fld, n, s, checks = params.field, params.n, params.s, params.checks_per_layer
     m = linalg.as_matrix(m, fld)
-    if m.shape[0] != params.n:
-        raise PreconditionError(f"M has {m.shape[0]} rows, params.n = {params.n}")
+    if m.shape[0] != n:
+        raise PreconditionError(f"M has {m.shape[0]} rows, params.n = {n}")
     _check_trials(trials)
     supp = np.flatnonzero(m.any(axis=1))
-    multiples = _unit_multiples(fld, m[supp])  # (rows, q-1, width)
-    rng = make_rng(seed)
+    # entry e of unit multiple u+1 of nonzero row j at [j, e, u], in a dtype that
+    # holds the sum of two entries; over F_2 the entries are bytes of packed bits
+    if fld.q == 2:
+        multiples = np.packbits(m[supp].astype(np.uint8), axis=1, bitorder="little")[:, :, None]
+    else:
+        multiples = (_unit_multiples(fld, m[supp]).transpose(0, 2, 1)
+                     .astype(np.min_scalar_type(2 * (fld.q - 1))))
+    units = _unit_stream(params, seed)
     hits = 0
-    for start in range(0, trials, LDPC_CHUNK):
-        b = min(LDPC_CHUNK, trials - start)
-        alive = np.arange(b)
-        for keys, units in _layer_draws(params, rng, b):
-            # the alive trials' keys, one contiguous row per coordinate
-            keys = np.ascontiguousarray((keys if len(alive) == b else keys[alive]).T)
-            trial = np.arange(len(alive))
-            sums = np.zeros((params.checks_per_layer, multiples.shape[2], len(alive)),
-                            dtype=multiples.dtype)
-            for j, i in enumerate(supp):
-                slot = _slots(keys, i)
-                check = slot // params.s
-                sums[check, :, trial] = fld.add(sums[check, :, trial],
-                                                multiples[j, units[alive, slot] - 1])
-            alive = alive[~sums.any(axis=(0, 1))]
-        hits += len(alive)
+    for chunk in range(0, trials, LDPC_CHUNK):
+        alive = np.ones(min(LDPC_CHUNK, trials - chunk), dtype=bool)
+        for _, start, keys, words in _layer_blocks(params, units, len(alive)):
+            trial = np.flatnonzero(alive[start:start + keys.shape[1]])
+            if not len(trial):
+                continue
+            if len(trial) < keys.shape[1]:
+                keys = keys[:, trial]
+            here = np.arange(len(trial))
+            sums = np.zeros((multiples.shape[1], checks * len(trial)), dtype=multiples.dtype)
+            for row, slot in zip(multiples, _slots(keys, supp)):
+                unit = 0 if words is None else units.draws(np.take(words, trial * n + slot))
+                at = slot // s * len(trial) + here
+                for total, entry in zip(sums, row):
+                    total[at] = fld.add(total[at], entry[unit])
+            dead = sums.reshape(-1, len(trial)).any(axis=0)
+            alive[start + trial[dead]] = False
+        hits += int(np.count_nonzero(alive))
     return hits / trials

@@ -494,6 +494,7 @@ def test_bounded_words_are_the_words_behind_integers(q, key):
     for count in (1, 9999, 20001, 20000, 2):
         u = words.take(count)
         assert u.dtype == np.uint32 and u.shape == (count,)
+        assert words.carry.base is None  # a copy: the words taken free their block
         draws = (u.astype(np.uint64) * q >> 32).astype(np.int64)
         assert np.array_equal(draws, gen.integers(0, q, size=count, dtype=np.int64))
 
@@ -546,6 +547,17 @@ def test_mc_rlc_contains_matches_oracle(q, data):
         assert freq == 1.0
 
 
+def test_mc_rlc_contains_matches_oracle_when_containment_is_common():
+    # one check row: a rank-1 M is contained with probability 1/q, so a
+    # wrong zero test shows in many of the trials
+    for q, fld in sorted(RLC_FIELDS.items()):
+        m = np.zeros((6, 2), dtype=np.int64)
+        m[[0, 2, 5]] = [[1, 1], [q - 1, q - 1], [1, 1]]
+        freq = ensembles.mc_rlc_contains(m, Fraction(5, 6), fld, 3000, q)
+        assert freq == mc_rlc_contains_oracle(m, Fraction(5, 6), fld, 3000, q)
+        assert abs(freq - 1 / q) < 0.05
+
+
 def test_mc_rlc_contains_memory_is_flat():
     # one trial's H over F_2 at n = 600, R = 1/2 holds 180,000 draws, so
     # the int64 H of all 64 trials would take 88 MiB
@@ -559,41 +571,86 @@ def test_mc_rlc_contains_memory_is_flat():
     assert peak < 8 * 2 ** 20
 
 
-def test_layer_draws_are_permutations_and_units():
+def test_mc_ldpc_contains_memory_is_flat():
+    # at n = 600 the float64 keys of one layer of LDPC_CHUNK trials alone
+    # would take 75 MiB; one trial past the chunk starts a second one
+    m = np.zeros((600, 2), dtype=np.int64)
+    m[[3, 150, 151, 599]] = [[1, 0], [1, 1], [0, 1], [1, 1]]
+    params = {q: ensembles.LdpcEnsembleParams(FIELDS[q], 600, 3, Fraction(1, 3)) for q in (2, 3)}
+    for q in (2, 3):
+        tracemalloc.start()
+        try:
+            ensembles.mc_ldpc_contains(m, params[q], ensembles.LDPC_CHUNK + 1, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+def test_layer_blocks_are_permutations_and_units():
     for fld in (F2, F3, field_new(2, 2), field_new(7)):
         params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
-        layers = list(ensembles._layer_draws(params, ensembles.make_rng(0), 50))
-        assert len(layers) == params.t
-        for keys, units in layers:
-            assert keys.shape == units.shape == (50, 12)
-            assert np.all((keys >= 0) & (keys < 1))
-            perms = np.argsort(keys, axis=1, kind="stable")
-            assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(12), (50, 1)))
-            assert np.all((units >= 1) & (units < fld.q))
+        units = ensembles._unit_stream(params, 0)
+        layers = set()
+        for layer, start, keys, words in ensembles._layer_blocks(params, units, 50):
+            layers.add(layer)
+            assert start == 0 and keys.shape == (12, 50) and keys.dtype == np.uint64
+            assert np.all(keys < 1 << 53)
+            perms = np.argsort(keys, axis=0, kind="stable")
+            assert np.array_equal(np.sort(perms, axis=0), np.tile(np.arange(12)[:, None], 50))
+            if fld.q == 2:
+                assert words is None
+            else:
+                assert words.shape == (50, 12)
+                draws = 1 + units.draws(words)
+                assert np.all((draws >= 1) & (draws < fld.q))
+        assert layers == set(range(params.t))
         # a one-trial draw is the layer stack of sample_ldpc at the same seed
         h = np.zeros((params.t * params.checks_per_layer, 12), dtype=np.int64)
-        for j, (keys, units) in enumerate(ensembles._layer_draws(params, ensembles.make_rng(3), 1)):
-            perm = np.argsort(keys[0], kind="stable")
+        units = ensembles._unit_stream(params, 3)
+        for j, _, keys, words in ensembles._layer_blocks(params, units, 1):
+            perm = np.argsort(keys[:, 0], kind="stable")
+            scale = np.ones(12, dtype=np.int64) if words is None else 1 + units.draws(words[0])
             for c in range(params.checks_per_layer):
                 cols = perm[c * 3:(c + 1) * 3]
-                h[j * params.checks_per_layer + c, cols] = units[0, c * 3:(c + 1) * 3]
+                h[j * params.checks_per_layer + c, cols] = scale[c * 3:(c + 1) * 3]
         assert np.array_equal(h, ensembles.sample_ldpc(params, 3).h)
 
 
+def test_layer_blocks_read_the_generator_stream():
+    # keys and units are those of Generator.random and Generator.integers,
+    # layer after layer; 37 trials at n = 9 leave a half-word to carry over
+    for q in (3, 4, 9):
+        params = ensembles.LdpcEnsembleParams(RLC_FIELDS[q], 9, 3, Fraction(1, 3))
+        rng = ensembles.make_rng(5)
+        units = ensembles._unit_stream(params, 5)
+        with mock.patch.object(ensembles, "LDPC_WORDS", 100):  # the next block reuses keys
+            blocks = [(j, k.copy(), w) for j, _, k, w in ensembles._layer_blocks(params, units, 37)]
+        for layer in range(params.t):
+            keys = np.hstack([k for j, k, _ in blocks if j == layer])
+            words = np.vstack([w for j, _, w in blocks if j == layer])
+            assert np.array_equal(keys.T * 2.0 ** -53, rng.random(size=(37, 9)))
+            assert np.array_equal(1 + units.draws(words), rng.integers(1, q, size=(37, 9)))
+
+
 def test_slots_invert_the_stable_argsort():
-    # keys drawn from three values force ties in every column
+    # keys drawn from three values force ties in every trial; at n = 64 all
+    # rows take the argsort branch, and a few rows the counting one
     rng = np.random.default_rng(0)
-    keys = rng.integers(0, 3, size=(12, 200)).astype(np.float64)
-    inverse = np.argsort(np.argsort(keys, axis=0, kind="stable"), axis=0, kind="stable")
-    for i in range(12):
-        assert np.array_equal(ensembles._slots(keys, i), inverse[i])
+    for n in (12, 64):
+        keys = rng.integers(0, 3, size=(n, 200)).astype(np.uint64)
+        inverse = np.argsort(np.argsort(keys, axis=0, kind="stable"), axis=0, kind="stable")
+        for rows in (np.arange(n), np.array([0, 5, n - 1]), np.array([7])):
+            assert np.array_equal(ensembles._slots(keys, rows), inverse[rows])
 
 
 def mc_ldpc_contains_oracle(m, params, trials, seed):
-    """The estimator as a gather of all n rows of M per permuted position,
-    scaled by `fld.mul` and summed over each check, with every trial kept
-    to the last layer: the slow reference for `mc_ldpc_contains`."""
-    fld, s, blocks = params.field, params.s, params.checks_per_layer
+    """The estimator as `Generator.random` sort keys and `Generator.integers`
+    units per layer, LDPC_CHUNK trials at a time, a gather of all n rows of
+    M per permuted position, scaled by `fld.mul` and summed over each check,
+    with every trial kept to the last layer: the slow reference for
+    `mc_ldpc_contains`."""
+    fld, n, s, blocks = params.field, params.n, params.s, params.checks_per_layer
     m = np.asarray(m, dtype=np.int64)
     ell = m.shape[1]
     rng = ensembles.make_rng(seed)
@@ -601,8 +658,9 @@ def mc_ldpc_contains_oracle(m, params, trials, seed):
     for start in range(0, trials, ensembles.LDPC_CHUNK):
         b = min(ensembles.LDPC_CHUNK, trials - start)
         ok = np.ones(b, dtype=bool)
-        for keys, units in ensembles._layer_draws(params, rng, b):
-            perms = np.argsort(keys, axis=1, kind="stable")
+        for _ in range(params.t):
+            perms = np.argsort(rng.random(size=(b, n)), axis=1, kind="stable")
+            units = rng.integers(1, fld.q, size=(b, n))
             checks = fld.mul(m[perms], units[:, :, None]).reshape(b, blocks, s, ell)
             sums = checks[:, :, 0]
             for j in range(1, s):
@@ -612,26 +670,35 @@ def mc_ldpc_contains_oracle(m, params, trials, seed):
     return hits / trials
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("q", sorted(RLC_FIELDS))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_mc_ldpc_contains_matches_oracle(q, data):
     # M with zero rows, dense M, or the generator of the code sampled at
-    # the estimator's own seed, which one trial tests
-    fld = FIELDS[q] if q < 9 else field_new(3, 2)
-    params = ensembles.LdpcEnsembleParams(fld, 12, 3, Fraction(1, 3))
+    # the estimator's own seed, which one trial tests; at n = 9 an odd
+    # trial count leaves a unit half-word to carry into the next layer.
+    # The unit draws of q = 4, 7 and 8 reject words.  A block budget below
+    # n words makes every trial its own block, so unit words carry over
+    # between blocks
+    fld = RLC_FIELDS[q]
+    n = data.draw(st.sampled_from([9, 12, 24]), label="n")
+    params = ensembles.LdpcEnsembleParams(fld, n, 3, Fraction(1, 3))
     seed = data.draw(st.integers(0, 2 ** 63 - 1), label="seed")
     kind = data.draw(st.sampled_from(["sparse", "dense", "generator"]), label="kind")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="matrix seed"))
     if kind == "generator":
         m = ensembles.sample_ldpc(params, seed).generator
     else:
-        m = rng.integers(0, q, size=(12, data.draw(st.integers(1, 3), label="ell")))
+        m = rng.integers(0, q, size=(n, data.draw(st.integers(1, 3), label="ell")))
         if kind == "sparse":
-            m[rng.random(12) < 0.7] = 0
+            m[rng.random(n) < 0.7] = 0
     trials = data.draw(st.sampled_from([1, 37, ensembles.LDPC_CHUNK + 1]), label="trials")
     freq = ensembles.mc_ldpc_contains(m, params, trials, seed)
     assert freq == mc_ldpc_contains_oracle(m, params, trials, seed)
+    if trials < 100:
+        words = data.draw(st.integers(1, 2 * n), label="words")
+        with mock.patch.object(ensembles, "LDPC_WORDS", words):
+            assert ensembles.mc_ldpc_contains(m, params, trials, seed) == freq
     if kind == "generator" and trials == 1:
         assert freq == 1.0
 
