@@ -9,7 +9,7 @@ Monte Carlo workers can partition seed space deterministically.
 
 Both Monte Carlo estimators keep the streams of plain numpy draws but not
 their cost: they read the bit generator's words themselves, in blocks of
-about LDPC_WORDS or RLC_WORDS words, so that memory stays flat in n and in
+about `linalg.BLOCK_BYTES` bytes, so that memory stays flat in n and in
 the trial count.  `_BoundedWords` reads the 32-bit words behind
 `integers`, dropping the ones numpy's bounded-integer draw rejects
 (u*q mod 2^32 < 2^32 mod q).  One block reader, `_layer_blocks`, yields each
@@ -37,9 +37,7 @@ from .errors import CodeTooLarge, MalformedInput, PreconditionError
 from .gf import Field, field_new
 
 ENUM_GUARD = 1 << 24
-RLC_WORDS = 1 << 17  # 32-bit words per RLC Monte Carlo batch (0.5 MiB, L2-sized)
 LDPC_CHUNK = 1 << 14  # LDPC Monte Carlo trials per batch; fixes LDPC's stream
-LDPC_WORDS = 1 << 16  # 64-bit sort-key words per LDPC block (0.5 MiB, L2-sized)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -224,9 +222,9 @@ def _ahead(bitgen: np.random.Philox, words: int) -> np.random.Philox:
 
 
 def _layer_blocks(params: LdpcEnsembleParams, units: _BoundedWords, trials: int):
-    """Yield the t layers of `trials` codes in blocks of about LDPC_WORDS
-    words, as (layer, first trial, keys, unit words): the keys as (n, trials)
-    rows, one per coordinate, the unit words as (trials, n).
+    """Yield the t layers of `trials` codes in blocks of `linalg.BLOCK_BYTES`
+    bytes of keys, as (layer, first trial, keys, unit words): the keys as
+    (n, trials) uint64 rows, one per coordinate, the unit words as (trials, n).
 
     The stream is that of `rng.random(size=(trials, n))` and then
     `rng.integers(1, q, size=(trials, n))` per layer, where rng owns
@@ -243,7 +241,7 @@ def _layer_blocks(params: LdpcEnsembleParams, units: _BoundedWords, trials: int)
     are overwritten by the next.
     """
     n, q = params.n, params.field.q
-    step = max(1, min(trials, LDPC_WORDS // n))
+    step = max(1, min(trials, linalg.BLOCK_BYTES // (8 * n)))
     keys = np.empty((n, step), dtype=np.uint64)  # refilled: a fresh array would fault in
     for layer in range(params.t):
         stream = units.bitgen
@@ -339,9 +337,9 @@ def _zero_sum(multiples: np.ndarray) -> np.ndarray:
 
 
 def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
-    """Yield, 2^16 rows at a time, the sum for each weight-w vector x of
-    F_q^rows in `_ball_vector` rank order: the x_c multiple of row c,
-    summed over the support of x.  `prev` holds the weight w-1 sums.
+    """Yield, `linalg.BLOCK_BYTES` bytes at a time, the sum for each weight-w
+    vector x of F_q^rows in `_ball_vector` rank order: the x_c multiple of
+    row c, summed over the support of x.  `prev` holds the weight w-1 sums.
 
     In colexicographic order the w-combinations with largest position c
     follow those with a smaller one, and without c they are the first
@@ -356,7 +354,7 @@ def _level_sums(fld: Field, multiples: np.ndarray, prev: np.ndarray, w: int):
     big, small = units ** w, units ** (w - 1)
     comb = np.array([math.comb(c, w) for c in range(rows)], dtype=np.int64)
     size = math.comb(rows, w) * big
-    chunk = 1 << 16
+    chunk = max(1, linalg.BLOCK_BYTES // max(1, prev[:1].nbytes))  # empty H: 0-byte rows
     for start in range(0, size, chunk):
         top, u = np.divmod(np.arange(start, min(start + chunk, size)), big)
         c = np.searchsorted(comb, top, side="right") - 1
@@ -583,9 +581,9 @@ def mc_rlc_contains(
     Trial j draws a uniform (1-R)n x n parity-check matrix H, the j-th in
     `make_rng(seed).integers(0, q, size=(trials, (1-R)n, n))`, and M is
     contained iff H.M = 0.  The words behind those draws (`_BoundedWords`)
-    are read in batches of whole trials, about RLC_WORDS words each (one
-    trial when H alone is larger), fewer when M has more than n/4 nonzero
-    rows, so that a batch decodes at most RLC_WORDS/4 draws; the stream
+    are read in batches of whole trials, `linalg.BLOCK_BYTES` bytes each
+    (one trial when H alone is larger), fewer when M has over n/4 nonzero
+    rows, so that a batch decodes at most BLOCK_BYTES/16 draws; the stream
     does not depend on the batching.  H.M reads only the columns of H at
     M's nonzero rows, so only those words are tested (`_zero_rows`).
     """
@@ -595,7 +593,7 @@ def mc_rlc_contains(
     _check_trials(trials)
     supp = np.flatnonzero(m.any(axis=1))
     words = _BoundedWords(make_rng(seed).bit_generator, fld.q)
-    chunk = max(1, RLC_WORDS // (rows * max(n, 4 * len(supp))))
+    chunk = max(1, linalg.BLOCK_BYTES // (4 * rows * max(n, 4 * len(supp))))
     hits = 0
     for start in range(0, trials, chunk):
         b = min(chunk, trials - start)

@@ -390,10 +390,13 @@ class DistanceCertificate:
 def certify_distance(
     q: int, delta: float, eps: float, rate, n: int, s: int | None = None
 ) -> DistanceCertificate:
-    """Build the full certificate grid for weights 1/n .. delta."""
+    """Build the certificate grid for weights 1/n .. delta of the s-LDPC ensemble at n."""
     if s is None:
         s = s0_for_distance(q, delta, eps)
     params = GvParams(q, s, Fraction(rate), delta, eps)
+    if n % s or params.t.denominator != 1:
+        raise PreconditionError(f"no LDPC ensemble at s = {s}, n = {n}: s must divide n "
+                                f"and t = (1-R)*s = {params.t} must be an integer")
     rows = []
     for i in range(1, math.floor(delta * n) + 1):
         lam = i / n

@@ -16,6 +16,7 @@ from .errors import MalformedInput, ResourceGuardError
 from .gf import Field
 
 MAX_SUBSPACES = 10 ** 6
+BLOCK_BYTES = 1 << 19  # bytes of one array of every blocked loop (0.5 MiB, L2-sized)
 
 
 def as_matrix(entries, field: Field | None = None) -> np.ndarray:

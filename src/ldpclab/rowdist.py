@@ -24,7 +24,6 @@ from .gf import Field, field_new
 Real = Union[Fraction, float]
 
 TABLE_GUARD = 10 ** 6  # cells of any dense table indexed by F_q^l
-STACK_CELLS = 1 << 16  # cells of each array rstar builds for one stack of kernels
 SEARCH_SUPPORT_CAP, SEARCH_DENOMINATOR = 8, 24  # threshold search: support, mass grain
 SEARCH_ITERATIONS = 200  # threshold search: candidates drawn
 
@@ -256,8 +255,8 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
     vectors c of F_q^s, and a kernel K' of F_q^s stands for K'.B (in RREF,
     with pivots P[P']).  x -> x.B keeps the lexicographic order of vectors,
     so the kernels inside S come in the order `enumerate_subspaces` lists
-    them in F_q^l.  They are scored a stack at a time, each array holding
-    about STACK_CELLS cells (0.5 MiB), so memory stays flat.  `_project`,
+    them in F_q^l.  They are scored a stack at a time, each int64 array
+    holding about `linalg.BLOCK_BYTES`, so memory stays flat.  `_project`,
     the image map `implied_distribution` also reads, gives every
     c - c[P'].K' of the stack in one `matmul`: zero on K''s pivot columns
     P' and the image of c on the free ones.  Their codes sort them in
@@ -276,7 +275,8 @@ def rstar(tau: RowDistribution) -> ThresholdReport:
         raise PreconditionError("point mass at 0 has d(tau) = 0")
     r_exp = _threshold(entropy_q(tau), s)  # expectation_threshold, with d(tau) = s
     coords = supp[:, piv]  # supp = coords . basis[:s]
-    stacks = linalg.enumerate_subspaces(fld, s, max(1, STACK_CELLS // (s * max(s, n))))
+    batch = max(1, linalg.BLOCK_BYTES // (8 * s * max(s, n)))  # kernels of a stack
+    stacks = linalg.enumerate_subspaces(fld, s, batch)
     den = math.lcm(*(m.denominator for _, m in tau.masses))
     nums = np.array([m.numerator * (den // m.denominator) for _, m in tau.masses],
                     dtype=np.int64 if den < 2 ** 63 else object)  # they sum to den

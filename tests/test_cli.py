@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -41,7 +42,7 @@ def test_sample_deterministic_and_loadable(tmp_path):
 
 def test_distance_profile_formats(tmp_path):
     base = ["distance-profile", "--field", "2", "--n", "60", "--rate", "1/3",
-            "--delta", "0.05", "--eps", "0.1", "--s", "25", "--seed", "0"]
+            "--delta", "0.05", "--eps", "0.1", "--s", "30", "--seed", "0"]
     csv_out = tmp_path / "prof.csv"
     assert run(base + ["--format", "csv", "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().splitlines()
@@ -50,7 +51,16 @@ def test_distance_profile_formats(tmp_path):
     json_out = tmp_path / "prof.json"
     assert run(base + ["--out", str(json_out)]) == 0
     doc = json.loads(json_out.read_text())
-    assert doc["s"] == 25 and len(doc["rows"]) == 3
+    assert doc["s"] == 30 and len(doc["rows"]) == 3
+
+
+def test_distance_profile_refuses_a_sparsity_with_no_ensemble():
+    # 25 does not divide 60, so no s-LDPC code of length 60 exists to certify
+    code, err = run_process(["distance-profile", "--field", "2", "--n", "60", "--rate", "1/3",
+                             "--delta", "0.05", "--eps", "0.1", "--s", "25", "--seed", "0"])
+    assert code == 2, err
+    assert err == ("precondition violated: no LDPC ensemble at s = 25, n = 60: s must divide "
+                   "n and t = (1-R)*s = 50/3 must be an integer\n")
 
 
 def test_distance_profile_empirical(tmp_path):
@@ -140,6 +150,25 @@ def test_threshold_matches_library(tmp_path):
     rep = rowdist.rstar(tau)
     assert Fraction(*doc["r_expected"]) == rep.r_expected == Fraction(1, 3)
     assert Fraction(*doc["r_star"]) == rep.r_star
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # every line of the sh block under README's "## CLI" exits 0, run in a
+    # directory holding the tau.json and m.json files the lines name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    example_tau_file(tmp_path)
+    m = np.zeros((24, 2), dtype=np.int64)
+    m[[0, 1, 4, 5], 0] = m[[2, 3, 4, 5], 1] = 1
+    (tmp_path / "m.json").write_text(json.dumps({"field": {"p": 2, "h": 1}, "rows": m.tolist()}))
+    monkeypatch.chdir(tmp_path)
+    lines = block.splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "ldpclab"
+        assert {a for a in argv if a.endswith(".json")} <= {"tau.json", "m.json"}
+        assert run(argv) == 0, line
 
 
 def test_ldpc_contain(tmp_path):

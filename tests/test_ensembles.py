@@ -339,21 +339,47 @@ def test_enum_guard(monkeypatch):
 
 @pytest.mark.parametrize("q, rows, w", [(3, 16, 5), (4, 14, 4)])
 def test_level_sums_follow_rank_order_past_one_chunk(q, rows, w):
-    # C(rows, w) (q-1)^w sums span several 2^16-row chunks; at sampled
-    # ranks, chunk edges included, each is the combination of the rows of
-    # m that `_ball_vector` decodes from the rank
+    # C(rows, w) (q-1)^w sums span several chunks of int64 rows of 7, 9362
+    # = 2^19 // 56 rows a chunk; at sampled ranks, chunk edges included,
+    # each is the combination of the rows of m that `_ball_vector` decodes
+    # from the rank
     fld = field_new(*{3: (3,), 4: (2, 2)}[q])
     rng = np.random.default_rng(q)
     m = rng.integers(0, q, size=(rows, 7))
     multiples = ensembles._unit_multiples(fld, m)
     level = ensembles._zero_sum(multiples)
     for v in range(1, w + 1):
-        level = np.concatenate(list(ensembles._level_sums(fld, multiples, level, v)))
-    assert len(level) == math.comb(rows, w) * (q - 1) ** w > 1 << 16
-    edges = [(1 << 16) - 1, 1 << 16, len(level) - 1]
+        chunks = list(ensembles._level_sums(fld, multiples, level, v))
+        level = np.concatenate(chunks)
+    chunk = linalg.BLOCK_BYTES // 56
+    assert {len(sums) for sums in chunks[:-1]} == {chunk} == {9362}
+    assert len(level) == math.comb(rows, w) * (q - 1) ** w > 2 * chunk
+    edges = [chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, len(level) - 1]
     for rank in rng.integers(0, len(level), 200).tolist() + edges:
         x = ensembles._ball_vector(rows, q, w, rank)
         assert np.array_equal(level[rank], linalg.matmul(fld, x, m)[0])
+
+
+def test_level_sums_keep_the_benchmark_chunks():
+    # one-word F_2 rows (n <= 64: rlc-weight and ldpc-distance, items and
+    # CLI passes) come 65,536 sums a chunk, as before the byte budget;
+    # two-word rows (n = 90) half as many
+    rng = np.random.default_rng(0)
+    for n, chunk in ((60, 1 << 16), (90, 1 << 15)):
+        multiples = ensembles._unit_multiples(F2, rng.integers(0, 2, size=(45, n)))
+        level = ensembles._zero_sum(multiples)
+        for w in range(1, 5):
+            chunks = list(ensembles._level_sums(F2, multiples, level, w))
+            level = np.concatenate(chunks)
+        assert len(level) == math.comb(45, 4) > 2 * chunk
+        assert {len(sums) for sums in chunks[:-1]} == {chunk} and len(chunks[-1]) <= chunk
+
+
+def test_level_sums_of_an_empty_parity_check():
+    # H with no rows gives zero-width syndromes; every ball vector shares
+    # the one syndrome, so the list is the whole radius-2 ball of F_3^4
+    code = ensembles.LinearCode(F3, np.zeros((0, 4), dtype=np.int64), 0, Fraction(1, 2), 0)
+    assert ensembles.max_list_size(code, 0.5).max_list_size == 1 + 4 * 2 + 6 * 4
 
 
 def list_size_at(code, center, alpha):
@@ -541,7 +567,8 @@ def test_mc_rlc_contains_matches_oracle(q, data):
     seed = data.draw(st.integers(0, 2 ** 63), label="seed")
     freq = ensembles.mc_rlc_contains(m, rate, fld, trials, seed)
     assert freq == mc_rlc_contains_oracle(m, rate, fld, trials, seed)
-    with mock.patch.object(ensembles, "RLC_WORDS", data.draw(st.integers(1, 7), label="words")):
+    words = data.draw(st.integers(1, 7), label="words")
+    with mock.patch.object(linalg, "BLOCK_BYTES", 4 * words):  # uint32 words
         assert ensembles.mc_rlc_contains(m, rate, fld, trials, seed) == freq
     if kind == "zero":
         assert freq == 1.0
@@ -624,7 +651,7 @@ def test_layer_blocks_read_the_generator_stream():
         params = ensembles.LdpcEnsembleParams(RLC_FIELDS[q], 9, 3, Fraction(1, 3))
         rng = ensembles.make_rng(5)
         units = ensembles._unit_stream(params, 5)
-        with mock.patch.object(ensembles, "LDPC_WORDS", 100):  # the next block reuses keys
+        with mock.patch.object(linalg, "BLOCK_BYTES", 800):  # the next block reuses keys
             blocks = [(j, k.copy(), w) for j, _, k, w in ensembles._layer_blocks(params, units, 37)]
         for layer in range(params.t):
             keys = np.hstack([k for j, k, _ in blocks if j == layer])
@@ -697,7 +724,7 @@ def test_mc_ldpc_contains_matches_oracle(q, data):
     assert freq == mc_ldpc_contains_oracle(m, params, trials, seed)
     if trials < 100:
         words = data.draw(st.integers(1, 2 * n), label="words")
-        with mock.patch.object(ensembles, "LDPC_WORDS", words):
+        with mock.patch.object(linalg, "BLOCK_BYTES", 8 * words):  # uint64 keys
             assert ensembles.mc_ldpc_contains(m, params, trials, seed) == freq
     if kind == "generator" and trials == 1:
         assert freq == 1.0
@@ -766,3 +793,32 @@ def test_code_json_rejects_bad_entries():
     del doc["seed"]
     with pytest.raises(MalformedInput):
         ensembles.LinearCode.from_json(json.dumps(doc))
+
+
+def test_monte_carlo_keeps_the_benchmark_blocks(monkeypatch):
+    # ldpc-contain's shapes: F_2 and F_3 at n = 24 and F_4 at n = 12, s = 3,
+    # R = 1/3, M with 2 or 4 nonzero rows.  The LDPC keys come 2^16 // n
+    # trials a block, and the RLC words 2^17 // (rows max(n, 4 |supp M|))
+    # trials a batch, as before the byte budget
+    for fld, n, step in ((F2, 24, 2730), (F3, 24, 2730), (FIELDS[4], 12, 5461)):
+        params = ensembles.LdpcEnsembleParams(fld, n, 3, Fraction(1, 3))
+        blocks = [keys.shape[1] for layer, _, keys, _ in
+                  ensembles._layer_blocks(params, ensembles._unit_stream(params, 0), 10_000)
+                  if layer == 0]
+        assert blocks == [step] * (10_000 // step) + [10_000 % step]
+    taken, take = [], ensembles._BoundedWords.take
+
+    def spy(self, count):
+        taken.append(count)
+        return take(self, count)
+
+    monkeypatch.setattr(ensembles._BoundedWords, "take", spy)
+    for fld, n, supp, trials, chunk in ((F2, 24, 4, 10_000, 341), (F3, 24, 2, 10_000, 341),
+                                        (FIELDS[4], 12, 4, 3000, 1024),
+                                        (FIELDS[4], 12, 2, 3000, 1365)):
+        m = np.zeros((n, 1), dtype=np.int64)
+        m[:supp] = 1
+        rows = n * 2 // 3
+        taken.clear()
+        ensembles.mc_rlc_contains(m, Fraction(1, 3), fld, trials, 1)
+        assert taken == [chunk * rows * n] * (trials // chunk) + [trials % chunk * rows * n]

@@ -381,7 +381,7 @@ def test_s0_main_and_smoothness():
 
 
 def test_certificate_outputs():
-    cert = gv.certify_distance(2, 0.05, 0.1, Fraction(1, 3), 120, s=25)
+    cert = gv.certify_distance(2, 0.05, 0.1, Fraction(1, 3), 120, s=24)
     assert len(cert.rows) == 6
     alphas = [r[3] for r in cert.rows]
     assert all(a2 > a1 for a1, a2 in zip(alphas, alphas[1:]))
@@ -390,5 +390,12 @@ def test_certificate_outputs():
     assert len(csv.splitlines()) == 7
     import json
     doc = json.loads(cert.to_json())
-    assert doc["q"] == 2 and doc["s"] == 25 and len(doc["rows"]) == 6
+    assert doc["q"] == 2 and doc["s"] == 24 and len(doc["rows"]) == 6
     assert 0 <= doc["failure_probability"] <= 1
+
+
+@pytest.mark.parametrize("n, s", [(120, 25), (120, 4)], ids=["s-not-dividing-n", "t-fractional"])
+def test_certificate_needs_an_ensemble(n, s):
+    # s = 25 does not divide 120; s = 4 at R = 1/3 gives t = 8/3 layers
+    with pytest.raises(PreconditionError, match=f"no LDPC ensemble at s = {s}, n = {n}"):
+        gv.certify_distance(2, 0.05, 0.1, Fraction(1, 3), n, s=s)

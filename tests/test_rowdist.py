@@ -233,9 +233,9 @@ def rstar_oracle(tau, span_only=True):
     return rowdist.ThresholdReport(threshold(tau), best, best_kernel, best_implied)
 
 
-def assert_rstar_matches_oracle(tau, stack_cells=rowdist.STACK_CELLS):
-    # a small `stack_cells` splits pivot sets over several stacks
-    with mock.patch.object(rowdist, "STACK_CELLS", stack_cells):
+def assert_rstar_matches_oracle(tau, block_bytes=linalg.BLOCK_BYTES):
+    # a small `block_bytes` splits pivot sets over several stacks
+    with mock.patch.object(linalg, "BLOCK_BYTES", block_bytes):
         rep = rowdist.rstar(tau)
     ref = rstar_oracle(tau)
     assert rep.to_json() == ref.to_json()
@@ -298,8 +298,8 @@ def test_rstar_matches_oracle(q, data):
         d = {i: Fraction(w, sum(weights)) for i, w in zip(idx, weights)}
     tau = rowdist.RowDistribution.from_dict(
         fld, ell, {tuple(linalg.index_vector(i, ell, q).tolist()): m for i, m in d.items()})
-    cells = data.draw(st.sampled_from([rowdist.STACK_CELLS, 1, 50]), label="stack cells")
-    assert_rstar_matches_oracle(tau, cells)
+    block = data.draw(st.sampled_from([linalg.BLOCK_BYTES, 8, 400]), label="block bytes")
+    assert_rstar_matches_oracle(tau, block)
 
 
 def test_rstar_over_a_large_field():
@@ -312,8 +312,29 @@ def test_rstar_over_a_large_field():
         d = {tuple(int(x) for x in v): Fraction(1, 20) for v in vecs}
         total = sum(d.values())
         tau = rowdist.RowDistribution.from_dict(fld, 2, {v: m / total for v, m in d.items()})
-        for cells in (rowdist.STACK_CELLS, 3000):  # the 1009 lines in one stack, or split
-            assert_rstar_matches_oracle(tau, cells)
+        for block in (linalg.BLOCK_BYTES, 24000):  # the 1009 lines in one stack, or split
+            assert_rstar_matches_oracle(tau, block)
+
+
+def test_rstar_keeps_the_benchmark_stacks(monkeypatch):
+    # the threshold workload's rstar shapes stack 2^16 // (s max(s, |supp|))
+    # kernels at a time, as before the byte budget: dense F_2^4, F_3^3 and
+    # F_4^2, and a 5-vector and a 4-vector support spanning s = 4 and s = 3
+    batches, enumerate_subspaces = [], linalg.enumerate_subspaces
+
+    def spy(fld, ell, batch):
+        batches.append(batch)
+        return enumerate_subspaces(fld, ell, batch)
+
+    monkeypatch.setattr(linalg, "enumerate_subspaces", spy)
+    f4 = field_new(2, 2)
+    span4 = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 0)]
+    span3 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)]
+    for tau in (uniform_tau(F2, 4), uniform_tau(F3, 3), uniform_tau(f4, 2),
+                rowdist.RowDistribution.from_dict(F2, 5, {v: Fraction(1, 5) for v in span4}),
+                rowdist.RowDistribution.from_dict(F3, 4, {v: Fraction(1, 4) for v in span3})):
+        rowdist.rstar(tau)
+    assert batches == [1024, 809, 2048, 3276, 5461]
 
 
 def test_real_json():
